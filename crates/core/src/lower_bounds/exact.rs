@@ -22,9 +22,14 @@ pub const RUNG_DENSE_LP: &str =
 ///
 /// This is the `dist_exact` of the multistep architecture: every
 /// candidate that survives the filters is evaluated with this measure.
-/// Construction validates nothing about metricity — pair it with a
-/// metric cost matrix (e.g. [`crate::ground::BinGrid::cost_matrix`]) if
-/// the lower bounds or the metric axioms matter.
+/// Construction validates nothing about metricity and rejects no cost
+/// matrix, but metricity selects the solver path: when the cost has a
+/// zero diagonal and meets the triangle inequality
+/// ([`CostMatrix::admits_diagonal_reduction`], checked once per matrix on
+/// first use), each pair is solved on its surplus-vs-deficit bins only;
+/// any other cost gets the full square problem. Pair it with a metric
+/// cost matrix (e.g. [`crate::ground::BinGrid::cost_matrix`]) for that
+/// speed, and whenever the lower bounds or the metric axioms matter.
 ///
 /// # Recovery ladder
 ///
@@ -39,6 +44,10 @@ pub const RUNG_DENSE_LP: &str =
 ///    anti-cycling rule**, which provably cannot cycle;
 /// 3. if even that exhausts its cap: solve the transportation LP with the
 ///    independent dense two-phase simplex of `earthmover-lp`.
+///
+/// Rungs 1 and 2 go through `earthmover_transport::emd_with_options` and
+/// so run on the reduced problem whenever the cost admits it. Rung 3
+/// always poses the full square problem, as an independent check.
 ///
 /// Precondition failures (shape mismatch, unbalanced mass, negative
 /// entries) are *not* retried — they are caller bugs and surface

@@ -1,6 +1,14 @@
 //! Square cost matrices encoding the ground distance between histogram bins.
 
 use std::fmt;
+use std::sync::OnceLock;
+
+/// Tolerance, relative to the largest cost, of the diagonal-reduction
+/// guard ([`CostMatrix::admits_diagonal_reduction`]). Ground distances
+/// computed in floating point (Euclidean distances between bin
+/// centroids) meet the triangle inequality to within a few ulps, far
+/// inside this margin.
+const REDUCTION_TOL: f64 = 1e-12;
 
 /// A dense square matrix of non-negative ground-distance costs.
 ///
@@ -9,11 +17,21 @@ use std::fmt;
 /// from bin `i` to bin `j`. The Earth Mover's Distance is a metric exactly
 /// when the encoded ground distance is a metric (zero diagonal, symmetry,
 /// triangle inequality) — [`CostMatrix::is_metric`] checks this.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CostMatrix {
     n: usize,
     /// Row-major `n * n` entries.
     data: Vec<f64>,
+    /// Cached [`CostMatrix::admits_diagonal_reduction`]; computed on first
+    /// use, so building a matrix never pays the `O(n³)` check.
+    reducible: OnceLock<bool>,
+}
+
+/// Equality compares the entries only, never the cached guard.
+impl PartialEq for CostMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.data == other.data
+    }
 }
 
 impl CostMatrix {
@@ -34,7 +52,15 @@ impl CostMatrix {
                 data.push(c);
             }
         }
-        CostMatrix { n, data }
+        CostMatrix::new_unchecked(n, data)
+    }
+
+    fn new_unchecked(n: usize, data: Vec<f64>) -> Self {
+        CostMatrix {
+            n,
+            data,
+            reducible: OnceLock::new(),
+        }
     }
 
     /// Wraps an existing row-major buffer of length `n * n`.
@@ -52,7 +78,7 @@ impl CostMatrix {
                 value: data[idx],
             });
         }
-        Ok(CostMatrix { n, data })
+        Ok(CostMatrix::new_unchecked(n, data))
     }
 
     /// Number of bins (the matrix is `len × len`).
@@ -93,9 +119,6 @@ impl CostMatrix {
     pub fn is_metric(&self, tol: f64) -> bool {
         let n = self.n;
         for i in 0..n {
-            if self.get(i, i).abs() > tol {
-                return false;
-            }
             for j in 0..n {
                 if i != j && self.get(i, j) <= tol {
                     return false;
@@ -105,16 +128,38 @@ impl CostMatrix {
                 }
             }
         }
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    if self.get(i, k) > self.get(i, j) + self.get(j, k) + tol {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.zero_diagonal_and_triangle(tol)
+    }
+
+    /// True when the exact solver may leave the shared mass
+    /// `min(x_i, y_i)` of every bin in place and solve only the bins with
+    /// surplus against the bins with deficit.
+    ///
+    /// That is valid when the diagonal is zero and the triangle inequality
+    /// `c_ik ≤ c_ij + c_jk` holds (symmetry is not needed): any optimal
+    /// flow that routes mass through a bin can be short-cut to one that
+    /// does not, at no extra cost. Both are checked to within `1e-12` of
+    /// the largest cost. The `O(n³)` check runs once, on the first call,
+    /// and is cached.
+    pub fn admits_diagonal_reduction(&self) -> bool {
+        *self
+            .reducible
+            .get_or_init(|| self.zero_diagonal_and_triangle(REDUCTION_TOL * self.max_cost()))
+    }
+
+    /// Zero diagonal and `c_ik ≤ c_ij + c_jk` for all `i, j, k`, within
+    /// `tol`.
+    fn zero_diagonal_and_triangle(&self, tol: f64) -> bool {
+        (0..self.n).all(|i| self.get(i, i).abs() <= tol)
+            && (0..self.n).all(|i| {
+                let from_i = self.row(i);
+                from_i.iter().enumerate().all(|(j, &c_ij)| {
+                    from_i
+                        .iter()
+                        .zip(self.row(j))
+                        .all(|(&c_ik, &c_jk)| c_ik <= c_ij + c_jk + tol)
+                })
+            })
     }
 }
 
@@ -216,5 +261,34 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.max_cost(), 0.0);
         assert!(c.is_metric(1e-12));
+        assert!(c.admits_diagonal_reduction());
+    }
+
+    #[test]
+    fn reduction_guard_needs_zero_diagonal_and_triangle_inequality() {
+        let line = CostMatrix::from_fn(4, |i, j| (i as f64 - j as f64).abs());
+        assert!(line.admits_diagonal_reduction());
+        // Asymmetric but short-cut free: still reducible.
+        let asym = CostMatrix::from_fn(3, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Less => 1.0,
+            std::cmp::Ordering::Greater => 2.0,
+            std::cmp::Ordering::Equal => 0.0,
+        });
+        assert!(asym.admits_diagonal_reduction());
+        let triangle =
+            CostMatrix::from_vec(3, vec![0.0, 1.0, 10.0, 1.0, 0.0, 1.0, 10.0, 1.0, 0.0]).unwrap();
+        assert!(!triangle.admits_diagonal_reduction());
+        let diagonal = CostMatrix::from_vec(2, vec![0.5, 1.0, 1.0, 0.0]).unwrap();
+        assert!(!diagonal.admits_diagonal_reduction());
+    }
+
+    #[test]
+    fn equality_ignores_the_cached_guard() {
+        let a = CostMatrix::from_fn(3, |i, j| (i as f64 - j as f64).abs());
+        let b = a.clone();
+        let fresh = CostMatrix::from_fn(3, |i, j| (i as f64 - j as f64).abs());
+        assert!(a.admits_diagonal_reduction());
+        assert_eq!(a, fresh);
+        assert_eq!(b, fresh);
     }
 }

@@ -22,8 +22,15 @@
 //! * pivoting along the unique **stepping-stone cycle** in the spanning-tree
 //!   basis, with deterministic tie-breaking for degenerate instances.
 //!
+//! When the ground distance has a zero diagonal and obeys the triangle
+//! inequality ([`CostMatrix::admits_diagonal_reduction`]), the `emd*`
+//! entry points leave the shared mass `min(x_i, y_i)` of every bin in
+//! place and solve only the surplus bins against the deficit bins; other
+//! cost matrices get the full square problem.
+//!
 //! The solver is cross-validated against the dense two-phase simplex in
-//! `earthmover-lp` (see the `lp_crosscheck` integration test).
+//! `earthmover-lp` (see the `lp_crosscheck` and `reduced_support`
+//! integration tests).
 //!
 //! # Example
 //!
@@ -41,6 +48,7 @@
 mod cost;
 pub mod partial;
 pub mod rect;
+mod reduced;
 mod solver;
 
 pub use cost::CostMatrix;
@@ -93,6 +101,13 @@ pub fn emd_with_flow(
 }
 
 /// [`emd_with_flow`] with explicit [`SolverOptions`].
+///
+/// Every `emd*` entry point lands here. A cost matrix that
+/// [admits the diagonal reduction](CostMatrix::admits_diagonal_reduction)
+/// is solved on the surplus-vs-deficit bins only, and the diagonal flows
+/// `(i, i, min(x_i, y_i))` are added back, so the flows still satisfy both
+/// marginals and their cost over the mass is the returned value. Any other
+/// cost matrix is solved as the full square problem.
 pub fn emd_with_flow_and_options(
     x: &[f64],
     y: &[f64],
@@ -124,8 +139,21 @@ pub fn emd_with_flow_and_options(
         // Two empty histograms are identical by convention.
         return Ok((0.0, Vec::new()));
     }
-    let solution = solve_transportation_with(x, y, cost, options)?;
-    Ok((solution.total_cost / mass_x, solution.flows))
+    if let Some((index, &value)) = x
+        .iter()
+        .chain(y)
+        .enumerate()
+        .find(|(_, v)| !v.is_finite() || **v < 0.0)
+    {
+        return Err(TransportError::InvalidMass { index, value });
+    }
+    let (total, flows) = if cost.admits_diagonal_reduction() {
+        reduced::solve(x, y, cost, options)?
+    } else {
+        let solution = solve_transportation_with(x, y, cost, options)?;
+        (solution.total_cost, solution.flows)
+    };
+    Ok((total / mass_x, flows))
 }
 
 #[cfg(test)]
