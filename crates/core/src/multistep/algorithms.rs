@@ -395,17 +395,26 @@ pub fn optimal_knn_relaxed_within(
         if full && filter_dist > threshold {
             break; // no remaining object can improve the result by > (1+relax)
         }
-        let h = db.try_row(id)?;
+        // A paged scan hands over the rows it staged while their blocks
+        // were leased; any other candidate is read from the database.
+        let leased;
+        let bins = match cursor.row() {
+            Some(bins) => bins,
+            None => {
+                leased = db.try_row(id)?;
+                leased.bins()
+            }
+        };
         if full {
             for ((fi, filter), kernel) in intermediates.iter().enumerate().zip(&kernels) {
                 stats.add_filter_evaluations(filter.name(), 1);
-                if timed(&mut filter_times[fi], || kernel.eval(h.bins())) > threshold {
+                if timed(&mut filter_times[fi], || kernel.eval(bins)) > threshold {
                     continue 'stream;
                 }
             }
         }
         stats.exact_evaluations += 1;
-        let (d, note) = timed(&mut exact_time, || exact_kernel.try_eval_noted(h.bins()))?;
+        let (d, note) = timed(&mut exact_time, || exact_kernel.try_eval_noted(bins))?;
         if let Some(note) = note {
             stats.record_degradation_once(note);
         }

@@ -15,6 +15,8 @@ use crate::histogram::Histogram;
 use crate::lower_bounds::DistanceMeasure;
 use crate::reduce::IndexReducer;
 use earthmover_rtree::{QueryStats as RtreeStats, RTree, WeightedLp};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Work performed inside a candidate source.
@@ -67,6 +69,16 @@ pub trait RankingCursor {
 
     /// Cumulative work performed by this cursor so far.
     fn cost(&self) -> SourceCost;
+
+    /// The bins of the candidate last returned by
+    /// [`RankingCursor::next`], when the cursor still holds a copy of
+    /// them (a paged scan stages the rows at the head of its ranking
+    /// while their blocks are leased). `None` means the caller reads the
+    /// row from the database. A staged row is bit-identical to the
+    /// database's.
+    fn row(&self) -> Option<&[f64]> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +120,16 @@ impl<'a, F: DistanceMeasure> ScanSource<'a, F> {
     /// returns the identical column. Reported work statistics stay
     /// nominal on a hit: the cache is an executor optimization, not a
     /// change to the logical scan.
-    fn scan_block(&self, q: &Histogram) -> Result<Arc<Vec<f64>>, PipelineError> {
+    ///
+    /// With `stage` set on a paged database, the scan also copies out the
+    /// rows of the `rows_per_block` best-ranked objects while their
+    /// blocks are leased (see [`StagedRows`]); on a cache hit, or on a
+    /// resident database, nothing is staged.
+    fn scan_block(
+        &self,
+        q: &Histogram,
+        stage: bool,
+    ) -> Result<(Arc<Vec<f64>>, Option<StagedRows>), PipelineError> {
         let cache = self.db.filter_cache();
         let key = self.filter.cache_signature().map(|params| CacheKey {
             filter: self.filter.name(),
@@ -118,13 +139,15 @@ impl<'a, F: DistanceMeasure> ScanSource<'a, F> {
         });
         if let Some(key) = &key {
             if let Some(column) = cache.get(key) {
-                return Ok(column);
+                return Ok((column, None));
             }
         }
         let kernel = self.filter.prepare(q);
         let dims = self.db.dims();
         let mut dists = vec![0.0; self.db.len()];
         let rows_per_block = self.db.rows_per_block().max(1);
+        let mut stager = (stage && self.db.is_paged())
+            .then(|| Stager::new(rows_per_block.min(self.db.len()), dims));
         for (b, slot) in dists.chunks_mut(rows_per_block).enumerate() {
             let data = self.db.block(b).map_err(|e| PipelineError::Source {
                 stage: self.filter.name().to_string(),
@@ -134,12 +157,18 @@ impl<'a, F: DistanceMeasure> ScanSource<'a, F> {
                 },
             })?;
             kernel.eval_block(&data, dims, slot);
+            if let Some(stager) = &mut stager {
+                let rows = slot.iter().zip(data.chunks_exact(dims));
+                for (id, (&dist, bins)) in (b * rows_per_block..).zip(rows) {
+                    stager.offer(dist, id, bins);
+                }
+            }
         }
         let column = Arc::new(dists);
         if let Some(key) = key {
             cache.insert(key, Arc::clone(&column));
         }
-        Ok(column)
+        Ok((column, stager.map(Stager::finish)))
     }
 }
 
@@ -153,12 +182,14 @@ impl<'a, F: DistanceMeasure> CandidateSource for ScanSource<'a, F> {
     }
 
     fn ranking<'s>(&'s self, q: &Histogram) -> Result<Box<dyn RankingCursor + 's>, PipelineError> {
-        let mut ranked: Vec<(usize, f64)> =
-            self.scan_block(q)?.iter().copied().enumerate().collect();
+        let (column, staged) = self.scan_block(q, true)?;
+        let mut ranked: Vec<(usize, f64)> = column.iter().copied().enumerate().collect();
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         Ok(Box::new(ScanCursor {
             evaluations: ranked.len() as u64,
             ranked: ranked.into_iter(),
+            staged,
+            last: None,
         }))
     }
 
@@ -168,7 +199,8 @@ impl<'a, F: DistanceMeasure> CandidateSource for ScanSource<'a, F> {
         epsilon: f64,
     ) -> Result<(Vec<(usize, f64)>, SourceCost), PipelineError> {
         let out = self
-            .scan_block(q)?
+            .scan_block(q, false)?
+            .0
             .iter()
             .copied()
             .enumerate()
@@ -187,17 +219,138 @@ impl<'a, F: DistanceMeasure> CandidateSource for ScanSource<'a, F> {
 struct ScanCursor {
     ranked: std::vec::IntoIter<(usize, f64)>,
     evaluations: u64,
+    /// Rows of the ranking's head, staged during a paged scan.
+    staged: Option<StagedRows>,
+    /// Rank and id of the candidate last returned.
+    last: Option<(usize, usize)>,
 }
 
 impl RankingCursor for ScanCursor {
     fn next(&mut self) -> Result<Option<(usize, f64)>, PipelineError> {
-        Ok(self.ranked.next())
+        let next = self.ranked.next();
+        if let Some((id, _)) = next {
+            self.last = Some((self.last.map_or(0, |(rank, _)| rank + 1), id));
+        }
+        Ok(next)
     }
 
     fn cost(&self) -> SourceCost {
         SourceCost {
             filter_evaluations: self.evaluations,
             node_accesses: 0,
+        }
+    }
+
+    fn row(&self) -> Option<&[f64]> {
+        let (rank, id) = self.last?;
+        self.staged.as_ref()?.row(rank, id)
+    }
+}
+
+/// Copies of the rows at the head of a paged scan's ranking, taken while
+/// the scan held their blocks leased, so that refining those candidates
+/// reads no block a second time.
+///
+/// The staged set is the `M` smallest `(filter distance, id)` pairs under
+/// `f64::total_cmp` then id — the ranking's own order — so it is exactly
+/// the ranking's first `M` entries, stored in ranking order. `M` is the
+/// database's `rows_per_block`: the arena costs one block frame.
+struct StagedRows {
+    dims: usize,
+    /// Ids in ranking order.
+    ids: Vec<usize>,
+    /// Row-major bins aligned with `ids`.
+    bins: Vec<f64>,
+}
+
+impl StagedRows {
+    /// The bins of candidate `id` at ranking position `rank`, if staged.
+    fn row(&self, rank: usize, id: usize) -> Option<&[f64]> {
+        if self.ids.get(rank) != Some(&id) {
+            return None;
+        }
+        self.bins.get(rank * self.dims..(rank + 1) * self.dims)
+    }
+}
+
+/// A staged row's key and its slot in the [`Stager`] arena.
+struct StagedKey {
+    dist: f64,
+    id: usize,
+    slot: usize,
+}
+
+impl StagedKey {
+    fn order(&self, dist: f64, id: usize) -> Ordering {
+        self.dist.total_cmp(&dist).then(self.id.cmp(&id))
+    }
+}
+
+impl PartialEq for StagedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for StagedKey {}
+impl PartialOrd for StagedKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for StagedKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.order(other.dist, other.id)
+    }
+}
+
+/// Keeps the rows with the `cap` smallest `(distance, id)` keys seen so
+/// far: a max-heap of keys over a fixed arena of `cap` row slots, where a
+/// better row overwrites the slot of the current worst.
+struct Stager {
+    cap: usize,
+    dims: usize,
+    heap: BinaryHeap<StagedKey>,
+    arena: Vec<f64>,
+}
+
+impl Stager {
+    fn new(cap: usize, dims: usize) -> Self {
+        Stager {
+            cap,
+            dims,
+            heap: BinaryHeap::with_capacity(cap),
+            arena: Vec::with_capacity(cap * dims),
+        }
+    }
+
+    fn offer(&mut self, dist: f64, id: usize, bins: &[f64]) {
+        if self.heap.len() < self.cap {
+            let slot = self.heap.len();
+            self.arena.extend_from_slice(bins);
+            self.heap.push(StagedKey { dist, id, slot });
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if worst.order(dist, id) == Ordering::Greater {
+                let range = worst.slot * self.dims..(worst.slot + 1) * self.dims;
+                if let Some(dst) = self.arena.get_mut(range) {
+                    dst.copy_from_slice(bins);
+                }
+                worst.dist = dist;
+                worst.id = id;
+            }
+        }
+    }
+
+    fn finish(self) -> StagedRows {
+        let keys = self.heap.into_sorted_vec();
+        let mut bins = Vec::with_capacity(self.arena.len());
+        for key in &keys {
+            let range = key.slot * self.dims..(key.slot + 1) * self.dims;
+            bins.extend_from_slice(self.arena.get(range).unwrap_or_default());
+        }
+        StagedRows {
+            dims: self.dims,
+            ids: keys.iter().map(|k| k.id).collect(),
+            bins,
         }
     }
 }
@@ -392,6 +545,10 @@ impl<'s> RankingCursor for FailingCursor<'s> {
     fn cost(&self) -> SourceCost {
         self.inner.cost()
     }
+
+    fn row(&self) -> Option<&[f64]> {
+        self.inner.row()
+    }
 }
 
 #[cfg(test)]
@@ -429,6 +586,31 @@ mod tests {
         }
         assert_eq!(count, 50);
         assert_eq!(cursor.cost().filter_evaluations, 50);
+    }
+
+    #[test]
+    fn staged_rows_are_the_ranking_prefix() {
+        // Ties, a negative zero and a NaN: the stager must keep exactly
+        // the first `cap` entries of the ranking's (total_cmp, id) order,
+        // with each id's own row.
+        let dists = [0.5, 0.25, 0.5, -0.0, 0.0, f64::NAN, 0.25, 0.75, 0.0, 0.5];
+        for cap in 0..=dists.len() {
+            let mut stager = Stager::new(cap, 2);
+            for (id, &d) in dists.iter().enumerate() {
+                stager.offer(d, id, &[id as f64, d]);
+            }
+            let staged = stager.finish();
+            let mut ranked: Vec<(usize, f64)> = dists.iter().copied().enumerate().collect();
+            ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            let prefix: Vec<usize> = ranked.iter().take(cap).map(|(id, _)| *id).collect();
+            assert_eq!(staged.ids, prefix, "cap {cap}");
+            for (rank, &id) in prefix.iter().enumerate() {
+                let row = staged.row(rank, id).unwrap();
+                assert_eq!(row[0], id as f64);
+                assert_eq!(row[1].to_bits(), dists[id].to_bits());
+            }
+            assert!(staged.row(cap, 0).is_none());
+        }
     }
 
     #[test]

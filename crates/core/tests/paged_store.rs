@@ -12,6 +12,11 @@
 //!    as `PipelineError::Source` from the query, never a panic.
 //! 3. **Pool behavior**: the tiny pool actually thrashes (misses and
 //!    evictions observed), proving the equivalence is exercised cold.
+//! 4. **Staged rows**: a paged scan keeps copies of the rows at the head
+//!    of its ranking, so a k-NN query reads each block at most once; when
+//!    the candidates run deeper than the staged rows, or the filter
+//!    cache answers without a scan, rows are read from the pool and the
+//!    answers are still the resident ones.
 
 use earthmover_core::db::HistogramDb;
 use earthmover_core::error::PipelineError;
@@ -86,9 +91,16 @@ proptest! {
             .first_stage(FirstStage::ManhattanScan)
             .build();
 
-        let r = eng_res.knn(&q, k).unwrap();
-        let p = eng_paged.knn(&q, k).unwrap();
-        prop_assert_eq!(&r.items, &p.items, "knn k={} diverged", k);
+        // The scan stages ROWS_PER_BLOCK rows; k + ROWS_PER_BLOCK refines
+        // more candidates than that, so the loop also reads rows through
+        // the pool.
+        for k in [k, k + ROWS_PER_BLOCK] {
+            let r = eng_res.knn(&q, k).unwrap();
+            let p = eng_paged.knn(&q, k).unwrap();
+            prop_assert_eq!(&r.items, &p.items, "knn k={} diverged", k);
+            prop_assert_eq!(r.stats.exact_evaluations, p.stats.exact_evaluations);
+            prop_assert_eq!(&r.stats.filter_evaluations, &p.stats.filter_evaluations);
+        }
 
         let eps = 0.15;
         let r = eng_res.range(&q, eps).unwrap();
@@ -193,4 +205,57 @@ fn std_vfs_round_trip_matches_fault_vfs_layout() {
     }
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
+}
+
+/// Saves `db` with `rows_per_block` rows per block and mounts it paged
+/// behind a pool of `pool_blocks` frames.
+fn paged_copy_blocks(
+    vfs: &FaultVfs,
+    db: &HistogramDb,
+    rows_per_block: usize,
+    pool_blocks: usize,
+) -> HistogramDb {
+    let path = Path::new("staged.emdc");
+    save_paged_with(vfs, db, path, rows_per_block).unwrap();
+    let budget = pool_blocks * rows_per_block * DIMS * std::mem::size_of::<f64>();
+    open_paged_with(vfs, path, budget).unwrap()
+}
+
+#[test]
+fn paged_knn_reads_each_block_at_most_once() {
+    // Blocks of 64 rows, so the 64 staged rows cover the candidates the
+    // multistep loop visits; the pool holds 2 of 12 blocks, so a row
+    // read from any other block would miss.
+    let resident = build_db(31, 750);
+    let vfs = FaultVfs::new();
+    let paged = paged_copy_blocks(&vfs, &resident, 64, 2);
+    assert_eq!(paged.num_blocks(), 12);
+
+    let grid = BinGrid::new(vec![2, 2, 2]);
+    let eng_res = QueryEngine::builder(&resident, &grid)
+        .first_stage(FirstStage::ManhattanScan)
+        .build();
+    let eng_paged = QueryEngine::builder(&paged, &grid)
+        .first_stage(FirstStage::ManhattanScan)
+        .build();
+    for (i, seed) in [3u64, 4, 5].into_iter().enumerate() {
+        let q = random_histogram(&mut StdRng::seed_from_u64(seed), DIMS);
+        let r = eng_res.knn(&q, 5).unwrap();
+        let before = paged.pool_stats().unwrap().misses;
+        let p = eng_paged.knn(&q, 5).unwrap();
+        let misses = paged.pool_stats().unwrap().misses - before;
+        assert_eq!(r.items, p.items, "query {i}");
+        assert!(
+            misses <= paged.num_blocks() as u64,
+            "query {i}: {misses} pool misses for {} blocks",
+            paged.num_blocks()
+        );
+
+        // The same query again is a filter-cache hit: no scan runs, so
+        // nothing is staged and every row comes from the pool.
+        let hits = paged.filter_cache().stats().hits;
+        let again = eng_paged.knn(&q, 5).unwrap();
+        assert_eq!(paged.filter_cache().stats().hits, hits + 1, "query {i}");
+        assert_eq!(again.items, p.items, "query {i} on a cache hit");
+    }
 }

@@ -23,6 +23,7 @@
 //! crc     u32                CRC-32 (IEEE) over everything above
 //! ```
 
+use earthmover_storage::crc32;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -52,20 +53,6 @@ pub struct SketchSidecar {
     pub normal_dim: u32,
     /// Normal arena, row-major with stride `normal_dim`.
     pub normal_arena: Vec<f64>,
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise —
-/// sidecars are megabytes at most, table-free is fast enough.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
@@ -265,7 +252,7 @@ mod tests {
 
     #[test]
     fn crc_matches_known_vector() {
-        // CRC-32("123456789") = 0xCBF43926 — the standard check value.
+        // The .emds trailer is CRC-32 (IEEE); "123456789" gives the standard check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 

@@ -207,6 +207,7 @@ impl ColumnWriter {
         Ok(ColumnStore {
             file: self.file,
             meta: self.meta,
+            scratch: Vec::new(),
         })
     }
 }
@@ -246,6 +247,8 @@ fn read_le<const N: usize>(page: &[u8], at: usize) -> [u8; N] {
 pub struct ColumnStore {
     file: PageFile,
     meta: ColumnMeta,
+    /// Physical bytes of the last block read, reused across reads.
+    scratch: Vec<u8>,
 }
 
 impl ColumnStore {
@@ -290,7 +293,11 @@ impl ColumnStore {
                 return Err(StorageError::BadHeader("column file truncated".into()));
             }
         }
-        Ok(ColumnStore { file, meta })
+        Ok(ColumnStore {
+            file,
+            meta,
+            scratch: Vec::new(),
+        })
     }
 
     /// The file geometry.
@@ -299,6 +306,11 @@ impl ColumnStore {
     }
 
     /// Reads and decodes block `block`, validating every row.
+    ///
+    /// The block's pages are fetched with one positioned read and each
+    /// page's checksum is verified (`PageFile::read_pages`); the f64s
+    /// are then decoded straight from that read buffer, checking every
+    /// row's bins and mass in the same pass.
     pub fn read_block(&mut self, block: usize) -> Result<Vec<f64>, StorageError> {
         let rows = self.meta.rows_in_block(block);
         if block >= self.meta.num_blocks() || rows == 0 {
@@ -306,34 +318,41 @@ impl ColumnStore {
                 self.meta.first_page_of(block),
             )));
         }
-        let byte_len = rows * self.meta.dims * 8;
-        let first = self.meta.first_page_of(block);
-        let mut bytes = Vec::with_capacity(byte_len.div_ceil(PAGE_SIZE) * PAGE_SIZE);
-        let mut page = [0u8; PAGE_SIZE];
-        for p in 0..byte_len.div_ceil(PAGE_SIZE) as u32 {
-            self.file.read_page(PageId(first + p), &mut page)?;
-            bytes.extend_from_slice(&page);
-        }
-        let mut out = Vec::with_capacity(rows * self.meta.dims);
-        for chunk in bytes.chunks_exact(8).take(rows * self.meta.dims) {
-            out.push(f64::from_le_bytes(read_le(chunk, 0)));
-        }
+        let dims = self.meta.dims;
+        let values = rows * dims;
+        let first = PageId(self.meta.first_page_of(block));
+        let pages =
+            self.file
+                .read_pages(first, (values * 8).div_ceil(PAGE_SIZE), &mut self.scratch)?;
+        let bins = pages
+            .flat_map(|page| page.chunks_exact(8))
+            .take(values)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap_or_default()));
         // Re-validate the histogram invariants: the CRC authenticates
         // the bytes, this authenticates the *semantics* the kernels and
-        // `HistogramRef` debug-assert on.
-        for row in out.chunks_exact(self.meta.dims) {
-            if row.iter().any(|b| !b.is_finite() || *b < 0.0) {
-                return Err(StorageError::CorruptPage {
-                    page: PageId(first),
-                    reason: "negative or non-finite bin in column block",
-                });
-            }
-            let mass: f64 = row.iter().sum();
-            if (mass - 1.0).abs() > 1e-6 {
-                return Err(StorageError::CorruptPage {
-                    page: PageId(first),
-                    reason: "column block row is not mass-normalized",
-                });
+        // `HistogramRef` debug-assert on. Rows are checked in order, so
+        // the first bad row decides the error.
+        let mut out = Vec::with_capacity(values);
+        let (mut mass, mut bad, mut filled) = (0.0f64, false, 0);
+        for b in bins {
+            out.push(b);
+            bad |= !b.is_finite() || b < 0.0;
+            mass += b;
+            filled += 1;
+            if filled == dims {
+                if bad {
+                    return Err(StorageError::CorruptPage {
+                        page: first,
+                        reason: "negative or non-finite bin in column block",
+                    });
+                }
+                if (mass - 1.0).abs() > 1e-6 {
+                    return Err(StorageError::CorruptPage {
+                        page: first,
+                        reason: "column block row is not mass-normalized",
+                    });
+                }
+                (mass, filled) = (0.0, 0);
             }
         }
         Ok(out)
@@ -585,6 +604,34 @@ mod tests {
             all.extend(store.read_block(b).unwrap());
         }
         assert_eq!(all, data);
+
+        // Short reads: the one-read block path still assembles every
+        // block from however many partial transfers the VFS makes.
+        let vfs = FaultVfs::new();
+        let faulty = std::path::PathBuf::from("/col/short.emdc");
+        let mut w = ColumnWriter::create_with(&vfs, &faulty, 4, 200).unwrap();
+        w.append_rows(&data).unwrap();
+        drop(w.finish().unwrap());
+        vfs.set_short_reads(Some(1000));
+        let mut store = ColumnStore::open_with(&vfs, &faulty).unwrap();
+        let mut all = Vec::new();
+        for b in 0..3 {
+            all.extend(store.read_block(b).unwrap());
+        }
+        assert_eq!(all, data, "short reads must not change the decoded rows");
+
+        // A file truncated inside a block: the header still promises the
+        // pages, so open succeeds, and reading that block is a typed I/O
+        // error while the intact blocks before it still read.
+        let phys = (PAGE_SIZE + 8) as u64;
+        let block1_second_page = 2 + 2 + 1; // header, meta, block 0, then block 1
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(block1_second_page * phys + 100).unwrap();
+        drop(file);
+        let mut store = ColumnStore::open(&path).unwrap();
+        assert!(store.read_block(0).is_ok());
+        assert!(matches!(store.read_block(1), Err(StorageError::Io(_))));
+        assert!(matches!(store.read_block(2), Err(StorageError::Io(_))));
         std::fs::remove_file(path).unwrap();
     }
 
@@ -663,6 +710,27 @@ mod tests {
         }
         // Other blocks are unaffected.
         assert!(store.read_block(1).is_ok());
+
+        // A 16-page block (2048 rows of 4 bins = 64 KiB) read in one
+        // go: a bit flipped in page j names exactly page first + j.
+        let path = std::path::PathBuf::from("/col/corrupt16.emdc");
+        let data = rows(2 * 2048);
+        let mut w = ColumnWriter::create_with(&vfs, &path, 4, 2048).unwrap();
+        w.append_rows(&data).unwrap();
+        drop(w.finish().unwrap());
+        let first = 2 + 16; // block 1 starts after header, meta and block 0
+        for j in [0, 7, 15] {
+            let byte = (first + j) * (PAGE_SIZE + 8) + 333;
+            assert!(vfs.flip_bit(&path, byte, 1));
+            let mut store = ColumnStore::open_with(&vfs, &path).unwrap();
+            match store.read_block(1) {
+                Err(StorageError::PageChecksum(p)) => assert_eq!(p, PageId((first + j) as u32)),
+                other => panic!("page {j}: expected PageChecksum, got {other:?}"),
+            }
+            assert!(store.read_block(0).is_ok());
+            assert!(vfs.flip_bit(&path, byte, 1), "flip back");
+            assert_eq!(store.read_block(1).unwrap(), data[2048 * 4..]);
+        }
     }
 
     #[test]

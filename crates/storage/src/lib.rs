@@ -15,6 +15,9 @@
 //! * [`RecordStore`] — variable-length records in slotted pages on top
 //!   of the buffer pool, with stable record ids and full scans
 //!   ([`heap`]).
+//! * [`crc32`] — the one CRC-32 of every on-disk format in the
+//!   workspace (page trailers, `EMDB`, the `.emds` sketch sidecar),
+//!   slice-by-8 ([`crc`]).
 //!
 //! `earthmover-core`'s flat `storage` module remains the convenient
 //! import/export format; this crate is the engine a server would run on,
@@ -43,6 +46,7 @@
 
 pub mod buffer;
 pub mod column;
+pub mod crc;
 pub mod heap;
 pub mod pagefile;
 pub mod vfs;
@@ -52,6 +56,7 @@ pub use column::{
     rows_per_block_for, BlockLease, BlockPool, BlockPoolStats, ColumnMeta, ColumnStore,
     ColumnWriter,
 };
+pub use crc::crc32;
 pub use heap::{RecordId, RecordStore};
 pub use pagefile::{PageFile, PageId, RecoveryReport, StorageError, PAGE_SIZE};
 pub use vfs::{FaultVfs, StdVfs, Vfs, VfsFile};

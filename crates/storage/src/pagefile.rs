@@ -33,6 +33,7 @@
 //! grown pages past `num_pages` are leaked file space, never dangling
 //! references.
 
+use crate::crc::{crc32, Crc32};
 use crate::vfs::{StdVfs, Vfs, VfsFile};
 use earthmover_obs as obs;
 use std::fmt;
@@ -262,11 +263,20 @@ impl PageFile {
 
     /// CRC over `page_id ‖ content`, so a page written to the wrong slot
     /// fails verification even if its bytes are intact.
-    fn page_crc(id: PageId, content: &[u8; PAGE_SIZE]) -> u32 {
+    fn page_crc(id: PageId, content: &[u8]) -> u32 {
         let mut crc = Crc32::new();
         crc.update(&id.0.to_le_bytes());
         crc.update(content);
         crc.finish()
+    }
+
+    /// Checks the v2 trailer of the physical slot `slot` read for `id`.
+    fn verify_slot(id: PageId, slot: &[u8]) -> Result<(), StorageError> {
+        let content = slot.get(..PAGE_SIZE).unwrap_or_default();
+        if le_u32(slot, PAGE_SIZE) != Self::page_crc(id, content) {
+            return Err(StorageError::PageChecksum(id));
+        }
+        Ok(())
     }
 
     /// Writes `content` to the physical slot of `id` (with trailer on
@@ -300,10 +310,7 @@ impl PageFile {
             let mut phys = [0u8; PAGE_SIZE + TRAILER];
             self.file.read_exact_at(&mut phys, offset)?;
             buf.copy_from_slice(&phys[..PAGE_SIZE]);
-            let stored = le_u32(&phys, PAGE_SIZE);
-            if stored != Self::page_crc(id, buf) {
-                return Err(StorageError::PageChecksum(id));
-            }
+            Self::verify_slot(id, &phys)?;
         } else {
             self.file.read_exact_at(buf, offset)?;
         }
@@ -404,6 +411,42 @@ impl PageFile {
         self.read_page_raw(id, buf)
     }
 
+    /// Reads the `count` consecutive pages starting at `first` with one
+    /// positioned read into `buf` (resized to `count` physical slots and
+    /// reusable across calls), then verifies each page's v2 checksum
+    /// exactly as [`PageFile::read_page`] does: the first failing page is
+    /// reported as [`StorageError::PageChecksum`] with its own id.
+    ///
+    /// Returns the pages' contents in order, [`PAGE_SIZE`] bytes each,
+    /// borrowed from `buf` (the v2 trailers are skipped).
+    pub(crate) fn read_pages<'b>(
+        &mut self,
+        first: PageId,
+        count: usize,
+        buf: &'b mut Vec<u8>,
+    ) -> Result<impl Iterator<Item = &'b [u8]> + 'b, StorageError> {
+        if count > 0 {
+            self.check_bounds(first)?;
+            let last = u32::try_from(count - 1)
+                .ok()
+                .and_then(|n| first.0.checked_add(n))
+                .ok_or(StorageError::PageOutOfBounds(first))?;
+            self.check_bounds(PageId(last))?;
+        }
+        let phys = self.phys_page() as usize;
+        buf.resize(count * phys, 0);
+        self.file.read_exact_at(buf, self.page_offset(first))?;
+        for (id, slot) in (first.0..).zip(buf.chunks_exact(phys)) {
+            obs::event!("storage_page_read", page = id);
+            if self.version >= VERSION {
+                Self::verify_slot(PageId(id), slot)?;
+            }
+        }
+        Ok(buf
+            .chunks_exact(phys)
+            .map(|slot| slot.get(..PAGE_SIZE).unwrap_or_default()))
+    }
+
     /// Writes a page from `buf` (with a fresh checksum on v2 files).
     pub fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
         self.check_bounds(id)?;
@@ -422,48 +465,6 @@ impl PageFile {
     }
 }
 
-/// Incremental CRC-32 (IEEE), table-driven.
-struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let table = crc_table();
-        for &b in bytes {
-            self.state = table[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-    }
-
-    fn finish(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    })
-}
-
 /// Total little-endian `u32` read: bytes past the end of the slice read
 /// as zero, so there is no panic path. All call sites read fixed offsets
 /// inside `[u8; PAGE_SIZE]` (or larger) buffers, so zero-extension is
@@ -474,13 +475,6 @@ pub(crate) fn le_u32(bytes: &[u8], at: usize) -> u32 {
         *o = *b;
     }
     u32::from_le_bytes(out)
-}
-
-/// One-shot CRC-32 (IEEE) of `bytes`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.finish()
 }
 
 #[cfg(test)]
