@@ -4,7 +4,7 @@
 //! tiers:
 //!
 //! * **resident**: the in-RAM arena (the pre-pagefile layout);
-//! * **warm pool**: the paged column store with a buffer pool big enough
+//! * **warm pool**: the paged column store with a block pool big enough
 //!   to hold every block — pure streaming/lease overhead;
 //! * **cold pool**: the same store with a pool holding a quarter of the
 //!   blocks, so most block reads miss, evict, and go back through the

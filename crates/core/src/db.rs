@@ -4,7 +4,7 @@
 //! classic fully-resident arena — one contiguous `Vec<f64>` with stride
 //! `dims` exposed as a single block — but a database can also be
 //! *paged*: rows live in an on-disk column file behind a fixed-capacity
-//! buffer pool (see [`crate::provider`] and [`crate::storage`]'s
+//! block pool (see [`crate::provider`] and [`crate::storage`]'s
 //! `open_paged`), and scans stream pinned block leases instead of
 //! borrowing one big slice. Rows are handed out as cheap
 //! [`HistogramRef`](crate::histogram::HistogramRef) borrowed views on
@@ -26,7 +26,7 @@ use earthmover_storage::BlockPoolStats;
 /// histograms, §2) and what makes a single filter weight vector valid for
 /// the whole database. Rows resolve through a [`BlockProvider`]: either
 /// the fully-resident arena (the default) or a paged column store with a
-/// bounded buffer pool for corpora larger than RAM.
+/// bounded block pool for corpora larger than RAM.
 #[derive(Debug, Clone)]
 pub struct HistogramDb {
     dims: usize,
@@ -304,7 +304,7 @@ impl HistogramDb {
         }
     }
 
-    /// Blocks currently resident in the buffer pool (resident databases
+    /// Blocks currently resident in the block pool (resident databases
     /// report their single block).
     pub fn resident_block_count(&self) -> usize {
         match &self.backing {

@@ -47,7 +47,7 @@ pub fn scan_distances(
 /// Resident databases take the exact legacy code path — one
 /// `eval_block` over the whole arena, or row-chunked workers — so their
 /// results are bit-for-bit unchanged. Paged databases stream whole
-/// blocks through the buffer pool (workers partition the *block* range,
+/// blocks through the block pool (workers partition the *block* range,
 /// never splitting a block), and the kernel block contract
 /// (`out[i] == eval(row i)`) keeps that bit-identical too.
 pub fn try_scan_distances(

@@ -153,7 +153,7 @@ impl<'a> EngineBuilder<'a> {
         let exact = ExactEmd::new(cost.clone());
         let im = self.use_im.then(|| LbIm::new(&cost));
         // Index stages bulk-load by iterating the resident arena; a
-        // paged database streams blocks through the buffer pool instead,
+        // paged database streams blocks through the block pool instead,
         // so the index configurations downgrade to the equivalent
         // sequential-scan bound. Results stay exact — the scan uses the
         // same admissible filter, just without the R-tree shortcut.
@@ -329,9 +329,10 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// [`QueryEngine::knn`] on an explicit recall/latency tier.
+    /// [`QueryEngine::knn`] on an explicit accuracy/latency tier.
     ///
-    /// * [`RetrievalMode::Exact`] — the configured pipeline, recall 1.0.
+    /// * [`RetrievalMode::Exact`] — the configured pipeline, distance
+    ///   ratio 1.0.
     /// * [`RetrievalMode::Approximate`] — ε-relaxed optimal multistep
     ///   refinement (regardless of the configured [`KnnAlgorithm`]):
     ///   every reported neighbor is within `(1 + ε)` of the true k-th
@@ -363,7 +364,10 @@ impl<'a> QueryEngine<'a> {
         match mode {
             RetrievalMode::Exact => {
                 let mut result = self.knn_within(q, k, deadline)?;
-                result.stats.retrieval = Some(RetrievalInfo { mode, recall: 1.0 });
+                result.stats.retrieval = Some(RetrievalInfo {
+                    mode,
+                    approx_ratio: 1.0,
+                });
                 Ok(result)
             }
             RetrievalMode::Approximate { epsilon } => {
@@ -390,8 +394,8 @@ impl<'a> QueryEngine<'a> {
                     }
                     other => other?,
                 };
-                // The distance-ratio guarantee as a worst-case recall
-                // figure; negative/non-finite slack degrades to exact.
+                // The guaranteed distance ratio; negative/non-finite
+                // slack degrades to exact.
                 let slack = if epsilon.is_finite() && epsilon > 0.0 {
                     epsilon
                 } else {
@@ -399,7 +403,7 @@ impl<'a> QueryEngine<'a> {
                 };
                 result.stats.retrieval = Some(RetrievalInfo {
                     mode,
-                    recall: 1.0 / (1.0 + slack),
+                    approx_ratio: 1.0 / (1.0 + slack),
                 });
                 Ok(result)
             }
@@ -415,7 +419,7 @@ impl<'a> QueryEngine<'a> {
                         .record_degradation_once(SKETCH_UNAVAILABLE_NOTE);
                     result.stats.retrieval = Some(RetrievalInfo {
                         mode: RetrievalMode::Exact,
-                        recall: 1.0,
+                        approx_ratio: 1.0,
                     });
                     Ok(result)
                 }
@@ -768,7 +772,7 @@ mod mode_tests {
         assert_eq!(exact.items, plain.items);
         let info = exact.stats.retrieval.unwrap();
         assert_eq!(info.mode, RetrievalMode::Exact);
-        assert_eq!(info.recall, 1.0);
+        assert_eq!(info.approx_ratio, 1.0);
     }
 
     #[test]
@@ -792,7 +796,7 @@ mod mode_tests {
             assert!(r.stats.exact_evaluations <= strict.stats.exact_evaluations);
             let info = r.stats.retrieval.unwrap();
             assert_eq!(info.mode, RetrievalMode::Approximate { epsilon });
-            assert!((info.recall - 1.0 / (1.0 + epsilon)).abs() < 1e-12);
+            assert!((info.approx_ratio - 1.0 / (1.0 + epsilon)).abs() < 1e-12);
         }
     }
 
@@ -825,7 +829,7 @@ mod mode_tests {
             .any(|d| d == SKETCH_UNAVAILABLE_NOTE));
         let info = r.stats.retrieval.unwrap();
         assert_eq!(info.mode, RetrievalMode::Exact);
-        assert_eq!(info.recall, 1.0);
+        assert_eq!(info.approx_ratio, 1.0);
     }
 }
 

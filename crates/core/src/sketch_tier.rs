@@ -6,7 +6,7 @@
 //! adds the missing operating points on the recall/latency curve:
 //!
 //! * [`RetrievalMode::Exact`] — the existing optimal multistep pipeline,
-//!   recall 1.0.
+//!   distance ratio 1.0.
 //! * [`RetrievalMode::Approximate`] — ε-relaxed multistep refinement:
 //!   the optimal k-NN loop prunes against `d_k / (1 + ε)` instead of
 //!   `d_k`, cutting exact-EMD evaluations while guaranteeing no
@@ -17,11 +17,10 @@
 //!   result carries a [`SKETCH_ONLY_NOTE`] degradation note because the
 //!   reported distances are approximations.
 //!
-//! [`SketchTier`] bundles the two sketch families of
-//! `earthmover-sketch` (the distortion-certified tree embedding that
-//! answers sketch-only queries, and the normal-distribution projection
-//! kept as an index-side filter surface) built over one database, with
-//! sidecar persistence next to the `.emdc` column store.
+//! [`SketchTier`] holds the distortion-certified tree embedding of
+//! `earthmover-sketch` built over one database — the index that answers
+//! sketch-only queries — with sidecar persistence next to the `.emdc`
+//! column store.
 
 use std::io;
 use std::path::Path;
@@ -34,9 +33,7 @@ use crate::ground::BinGrid;
 use crate::histogram::Histogram;
 use crate::stats::QueryStats;
 use earthmover_obs as obs;
-use earthmover_sketch::{
-    load_sidecar, save_sidecar, NormalProjection, Sketch, SketchIndex, SketchSidecar, TreeEmbedding,
-};
+use earthmover_sketch::{load_sidecar, save_sidecar, SketchIndex, SketchSidecar, TreeEmbedding};
 use serde::{Deserialize, Serialize};
 
 /// Degradation note recorded on every sketch-only answer: distances are
@@ -130,28 +127,31 @@ impl std::fmt::Display for RetrievalMode {
     }
 }
 
-/// Which tier answered a query and the recall it guarantees — attached
-/// to [`QueryStats::retrieval`] and carried over the wire so clients
-/// see what they got.
+/// Which tier answered a query and the distance ratio it guarantees —
+/// attached to [`QueryStats::retrieval`] and carried over the wire so
+/// clients see what they got.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetrievalInfo {
     /// The mode the query actually ran under.
     pub mode: RetrievalMode,
-    /// Guaranteed (not measured) recall of the tier: `1.0` for exact,
-    /// the `1 / (1 + epsilon)` distance-ratio guarantee for the relaxed
-    /// tier, and the `1 / distortion` sketch guarantee for sketch-only.
-    /// Measured recall on a concrete corpus is typically far higher —
-    /// see the `recall_curve` bench.
-    pub recall: f64,
+    /// Guaranteed (not measured) distance ratio of the tier, a lower
+    /// bound on `true k-th distance / reported k-th distance`: `1.0` for
+    /// exact, `1 / (1 + epsilon)` for the relaxed tier, and
+    /// `1 / distortion` for sketch-only. This is not a recall; the
+    /// measured recall on a concrete corpus is reported by the
+    /// `recall_curve` bench.
+    pub approx_ratio: f64,
 }
 
-/// Both sketch families built over one database, ready to answer
-/// sketch-only queries and to persist as a sidecar next to the column
-/// store.
+/// The tree-embedding sketch index built over one database, ready to
+/// answer sketch-only queries and to persist as a sidecar next to the
+/// column store.
 #[derive(Debug, Clone)]
 pub struct SketchTier {
-    tree: SketchIndex<TreeEmbedding>,
-    normal: SketchIndex<NormalProjection>,
+    tree: SketchIndex,
+    /// Dimensionality of the bin grid's feature space, persisted so a
+    /// sidecar is only loaded against the grid it was built over.
+    feature_dims: usize,
 }
 
 fn sketch_err(e: earthmover_sketch::SketchError) -> PipelineError {
@@ -162,8 +162,8 @@ fn sketch_err(e: earthmover_sketch::SketchError) -> PipelineError {
 }
 
 impl SketchTier {
-    /// Builds both sketch indexes by streaming every database block
-    /// through the projections — works for resident and paged databases
+    /// Builds the sketch index by streaming every database block
+    /// through the tree embedding — works for resident and paged databases
     /// alike. `seed` fixes the tree embedding's grid shift.
     pub fn build(db: &HistogramDb, grid: &BinGrid, seed: u64) -> Result<Self, PipelineError> {
         if grid.num_bins() != db.dims() {
@@ -179,17 +179,17 @@ impl SketchTier {
         let mut span = obs::span!("sketch_build", rows = db.len());
         let tree_sketch = TreeEmbedding::new(grid.centroids(), seed).map_err(sketch_err)?;
         span.record("distortion", tree_sketch.distortion());
-        let normal_sketch = NormalProjection::new(grid.centroids()).map_err(sketch_err)?;
         let mut tree = SketchIndex::new(tree_sketch);
-        let mut normal = SketchIndex::new(normal_sketch);
         for b in 0..db.num_blocks() {
             let block = db.block(b)?;
             for row in block.chunks_exact(db.dims()) {
                 tree.push(row).map_err(sketch_err)?;
-                normal.push(row).map_err(sketch_err)?;
             }
         }
-        Ok(SketchTier { tree, normal })
+        Ok(SketchTier {
+            tree,
+            feature_dims: grid.feature_dims(),
+        })
     }
 
     /// Number of sketched rows (equals the database length the tier was
@@ -209,24 +209,16 @@ impl SketchTier {
         self.tree.sketch().distortion()
     }
 
-    /// The guaranteed-recall figure reported for sketch-only answers:
-    /// the inverse of the certified distortion. A worst-case bound — the
-    /// measured recall of the `recall_curve` bench is typically much
-    /// higher.
-    pub fn recall_estimate(&self) -> f64 {
+    /// The guaranteed distance ratio reported for sketch-only answers:
+    /// the inverse of the certified distortion. A worst-case bound, not
+    /// a recall.
+    pub fn approx_ratio(&self) -> f64 {
         1.0 / self.distortion()
     }
 
-    /// The tree-embedding index (the family that answers sketch-only
-    /// queries).
-    pub fn tree(&self) -> &SketchIndex<TreeEmbedding> {
+    /// The tree-embedding index that answers sketch-only queries.
+    pub fn tree(&self) -> &SketchIndex {
         &self.tree
-    }
-
-    /// The normal-distribution index (kept as an index-side filter
-    /// surface).
-    pub fn normal(&self) -> &SketchIndex<NormalProjection> {
-        &self.normal
     }
 
     /// k nearest rows under the tree-embedding sketch distance, sorted
@@ -253,11 +245,11 @@ impl SketchTier {
             results: items.len() as u64,
             retrieval: Some(RetrievalInfo {
                 mode: RetrievalMode::SketchOnly,
-                recall: self.recall_estimate(),
+                approx_ratio: self.approx_ratio(),
             }),
             ..Default::default()
         };
-        stats.add_filter_evaluations(self.tree.sketch().name(), self.rows() as u64);
+        stats.add_filter_evaluations("tree", self.rows() as u64);
         stats.record_degradation_once(SKETCH_ONLY_NOTE);
         if deadline.expired() {
             stats.deadline_expired = true;
@@ -272,13 +264,11 @@ impl SketchTier {
     pub fn to_sidecar(&self) -> SketchSidecar {
         SketchSidecar {
             seed: self.seed(),
-            feature_dims: self.normal.sketch().feature_dims() as u32,
+            feature_dims: self.feature_dims as u32,
             bins: self.tree.sketch().bins() as u32,
             rows: self.rows() as u64,
             tree_dim: self.tree.dim() as u32,
             tree_arena: self.tree.arena().to_vec(),
-            normal_dim: self.normal.dim() as u32,
-            normal_arena: self.normal.arena().to_vec(),
         }
     }
 
@@ -288,9 +278,9 @@ impl SketchTier {
         save_sidecar(path, &self.to_sidecar())
     }
 
-    /// Loads a sidecar and rebuilds the sketch definitions
+    /// Loads a sidecar and rebuilds the tree embedding
     /// deterministically from `grid` and the stored seed — only the row
-    /// arenas (the expensive part) come from disk. Geometry mismatches
+    /// arena (the expensive part) comes from disk. Geometry mismatches
     /// against the grid are reported as [`io::ErrorKind::InvalidData`].
     pub fn load(path: &Path, grid: &BinGrid) -> io::Result<Self> {
         let sidecar = load_sidecar(path)?;
@@ -315,22 +305,14 @@ impl SketchTier {
                 sidecar.tree_dim
             )));
         }
-        let normal_sketch =
-            NormalProjection::new(grid.centroids()).map_err(|e| invalid(e.to_string()))?;
-        if normal_sketch.dim() != sidecar.normal_dim as usize {
-            return Err(invalid(format!(
-                "rebuilt normal sketch has dim {} but sidecar stored {}",
-                normal_sketch.dim(),
-                sidecar.normal_dim
-            )));
-        }
         let rows = usize::try_from(sidecar.rows)
             .map_err(|_| invalid("sidecar row count overflows usize".into()))?;
         let tree = SketchIndex::from_parts(tree_sketch, sidecar.tree_arena, rows)
             .map_err(|e| invalid(e.to_string()))?;
-        let normal = SketchIndex::from_parts(normal_sketch, sidecar.normal_arena, rows)
-            .map_err(|e| invalid(e.to_string()))?;
-        Ok(SketchTier { tree, normal })
+        Ok(SketchTier {
+            tree,
+            feature_dims: grid.feature_dims(),
+        })
     }
 }
 
@@ -426,7 +408,7 @@ mod tests {
         assert!(stats.degradations.iter().any(|d| d == SKETCH_ONLY_NOTE));
         let info = stats.retrieval.unwrap();
         assert_eq!(info.mode, RetrievalMode::SketchOnly);
-        assert!(info.recall > 0.0 && info.recall <= 1.0);
+        assert!(info.approx_ratio > 0.0 && info.approx_ratio <= 1.0);
     }
 
     #[test]

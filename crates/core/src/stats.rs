@@ -100,7 +100,7 @@ pub struct QueryStats {
     /// and re-sorts by `(shard, endpoint)`, so the set is
     /// order-independent under merge.
     pub provenance: Vec<ShardProvenance>,
-    /// Which retrieval tier answered and the recall it guarantees
+    /// Which retrieval tier answered and the distance ratio it guarantees
     /// (see [`crate::sketch_tier::RetrievalInfo`]). `None` for queries
     /// issued through the mode-less API (always exact). Merging keeps
     /// `self`'s entry when present, otherwise adopts `other`'s — merged
@@ -388,7 +388,7 @@ mod tests {
         let b = QueryStats {
             retrieval: Some(RetrievalInfo {
                 mode: RetrievalMode::Approximate { epsilon: 0.5 },
-                recall: 1.0 / 1.5,
+                approx_ratio: 1.0 / 1.5,
             }),
             ..Default::default()
         };
@@ -397,7 +397,7 @@ mod tests {
         let c = QueryStats {
             retrieval: Some(RetrievalInfo {
                 mode: RetrievalMode::Exact,
-                recall: 1.0,
+                approx_ratio: 1.0,
             }),
             ..Default::default()
         };

@@ -18,7 +18,7 @@
 //! Alongside the flat format, this module bridges to the paged column
 //! store of `earthmover-storage` (DESIGN.md §14): [`save_paged`] spills
 //! a resident database into a page-checksummed column file, and
-//! [`open_paged`] mounts such a file behind a bounded buffer pool so
+//! [`open_paged`] mounts such a file behind a bounded block pool so
 //! corpora larger than RAM can be queried.
 
 use crate::db::HistogramDb;
@@ -256,7 +256,7 @@ pub fn save_paged_with(
 }
 
 /// Mounts a paged column file as a read-only [`HistogramDb`] whose
-/// buffer pool holds at most `max_resident_bytes` of decoded blocks
+/// block pool holds at most `max_resident_bytes` of decoded blocks
 /// (at least one block). Queries stream cold blocks through the pool;
 /// corrupted or unreadable blocks surface as typed pipeline errors at
 /// query time, never panics.

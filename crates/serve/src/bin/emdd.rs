@@ -30,7 +30,7 @@ fn main() -> ExitCode {
             "usage: emdd --db FILE [--addr HOST:PORT] [--workers N] [--queue N]\n  \
              [--read-timeout-ms MS] [--default-deadline-ms MS] [--trace-json PATH]\n  \
              [--max-resident-mb N]   serve through a paged column store with an\n  \
-                                     N-MiB buffer pool (converts FILE to FILE.emdc\n  \
+                                     N-MiB block pool (converts FILE to FILE.emdc\n  \
                                      on first use) instead of loading into RAM\n  \
              [--sketch on|off]       build/load the FILE.emds sketch sidecar so\n  \
                                      sketch-only retrieval is served (default on)\n  \
@@ -205,7 +205,7 @@ fn sketch_tier(
 }
 
 /// Opens `db_path` as a paged column store with a `max_resident_mb`-MiB
-/// buffer pool. `.emdb` row files are converted once to a `.emdc`
+/// block pool. `.emdb` row files are converted once to a `.emdc`
 /// sidecar (skipped when the sidecar already exists); a path that is
 /// already a column file is opened directly.
 fn open_paged(

@@ -154,7 +154,7 @@ mod ext {
     /// epsilon f64 LE). Absent means exact retrieval.
     pub const MODE: u8 = 0x03;
     /// Response-side achieved retrieval tier (17-byte body: mode code
-    /// u8, epsilon f64 LE, guaranteed recall f64 LE).
+    /// u8, epsilon f64 LE, guaranteed distance ratio f64 LE).
     pub const MODE_INFO: u8 = 0x04;
 }
 
@@ -492,7 +492,7 @@ fn put_mode_info(out: &mut Vec<u8>, info: &RetrievalInfo) {
     let mut body = Vec::with_capacity(17);
     body.push(info.mode.code());
     put_f64(&mut body, info.mode.epsilon());
-    put_f64(&mut body, info.recall);
+    put_f64(&mut body, info.approx_ratio);
     put_ext_block(out, ext::MODE_INFO, &body);
 }
 
@@ -602,14 +602,14 @@ fn get_extensions(cur: &mut Cur<'_>) -> Result<Extensions, WireError> {
             ext::MODE_INFO => {
                 let code = body.u8()?;
                 let epsilon = body.f64()?;
-                let recall = body.f64()?;
+                let approx_ratio = body.f64()?;
                 body.finish()?;
                 let mode = RetrievalMode::from_code(code, epsilon).ok_or_else(|| {
                     WireError::BadPayload(format!(
                         "invalid retrieval mode (code {code}, epsilon {epsilon})"
                     ))
                 })?;
-                exts.retrieval = Some(RetrievalInfo { mode, recall });
+                exts.retrieval = Some(RetrievalInfo { mode, approx_ratio });
             }
             _ => {}
         }
@@ -1210,7 +1210,7 @@ mod tests {
             results: 1,
             retrieval: Some(RetrievalInfo {
                 mode: RetrievalMode::SketchOnly,
-                recall: 0.5,
+                approx_ratio: 0.5,
             }),
             ..QueryStats::default()
         };

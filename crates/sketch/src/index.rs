@@ -10,15 +10,15 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::{Sketch, SketchError};
+use crate::{SketchError, TreeEmbedding};
 
 /// Rows per block-kernel tile, matching the exact engine's block scan.
 pub const TILE: usize = 16;
 
-/// A streaming-insert columnar index over one sketch family.
+/// A streaming-insert columnar index of tree-embedded rows.
 #[derive(Debug, Clone)]
-pub struct SketchIndex<S: Sketch> {
-    sketch: S,
+pub struct SketchIndex {
+    sketch: TreeEmbedding,
     dim: usize,
     rows: usize,
     arena: Vec<f64>,
@@ -51,9 +51,9 @@ impl Ord for HeapEntry {
     }
 }
 
-impl<S: Sketch> SketchIndex<S> {
+impl SketchIndex {
     /// An empty index over `sketch`.
-    pub fn new(sketch: S) -> Self {
+    pub fn new(sketch: TreeEmbedding) -> Self {
         let dim = sketch.dim();
         SketchIndex {
             sketch,
@@ -64,7 +64,11 @@ impl<S: Sketch> SketchIndex<S> {
     }
 
     /// Rehydrates an index from a persisted arena (sidecar load path).
-    pub fn from_parts(sketch: S, arena: Vec<f64>, rows: usize) -> Result<Self, SketchError> {
+    pub fn from_parts(
+        sketch: TreeEmbedding,
+        arena: Vec<f64>,
+        rows: usize,
+    ) -> Result<Self, SketchError> {
         let dim = sketch.dim();
         if arena.len() != rows * dim {
             return Err(SketchError::ArenaShape {
@@ -106,8 +110,8 @@ impl<S: Sketch> SketchIndex<S> {
         self.dim
     }
 
-    /// The underlying sketch family.
-    pub fn sketch(&self) -> &S {
+    /// The embedding the rows were projected through.
+    pub fn sketch(&self) -> &TreeEmbedding {
         &self.sketch
     }
 
@@ -122,7 +126,7 @@ impl<S: Sketch> SketchIndex<S> {
     }
 
     /// Projects a query histogram into a reusable prepared kernel.
-    pub fn prepare(&self, query_bins: &[f64]) -> Result<PreparedSketchQuery<'_, S>, SketchError> {
+    pub fn prepare(&self, query_bins: &[f64]) -> Result<PreparedSketchQuery<'_>, SketchError> {
         let mut embedding = vec![0.0; self.dim];
         self.sketch.project(query_bins, &mut embedding)?;
         Ok(PreparedSketchQuery {
@@ -167,12 +171,12 @@ impl<S: Sketch> SketchIndex<S> {
 
 /// A query histogram projected once, ready to score arena rows.
 #[derive(Debug)]
-pub struct PreparedSketchQuery<'a, S: Sketch> {
-    index: &'a SketchIndex<S>,
+pub struct PreparedSketchQuery<'a> {
+    index: &'a SketchIndex,
     embedding: Vec<f64>,
 }
 
-impl<S: Sketch> PreparedSketchQuery<'_, S> {
+impl PreparedSketchQuery<'_> {
     /// The projected query vector.
     pub fn embedding(&self) -> &[f64] {
         &self.embedding
@@ -195,7 +199,6 @@ impl<S: Sketch> PreparedSketchQuery<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TreeEmbedding;
 
     fn centroids() -> Vec<Vec<f64>> {
         (0..8)
@@ -215,7 +218,7 @@ mod tests {
         v
     }
 
-    fn index_with_rows() -> SketchIndex<TreeEmbedding> {
+    fn index_with_rows() -> SketchIndex {
         let mut idx = SketchIndex::new(TreeEmbedding::new(&centroids(), 5).unwrap());
         for b in 0..8 {
             assert_eq!(idx.push(&one_hot(b)).unwrap(), b);

@@ -7,34 +7,28 @@
 //! The exact multistep pipeline of `earthmover-core` is *complete*: its
 //! lower bounds are admissible, recall is always 1.0, and latency is
 //! whatever refinement costs. This crate provides the missing third
-//! operating point — bounded-recall retrieval at a fraction of the
-//! latency — with two sketch families behind the common [`Sketch`]
-//! trait:
+//! operating point — bounded-distance-ratio retrieval at a fraction of
+//! the latency — with one sketch family:
 //!
 //! * [`TreeEmbedding`] — a hierarchical shifted-grid embedding of bin
 //!   space (quadtree-style, after Indyk & Thaper). The L1 distance
 //!   between embedding vectors equals the EMD under a dominating tree
 //!   metric, giving the two-sided guarantee
-//!   `EMD <= d_tree <= distortion() * EMD`.
-//! * [`NormalProjection`] — per-histogram normal-distribution
-//!   parameterization (projected mean + per-axis spread, after
-//!   Ruttenberg & Singh) with a closed-form 2-Wasserstein distance.
-//!   Symmetric and zero on self; a cheap index-side filter with no
-//!   admissibility claim.
+//!   `EMD <= d_tree <= distortion() * EMD`. Domination is certified at
+//!   construction: a bin pair that violates it is a
+//!   [`SketchError::NotDominating`] error in every build.
 //!
-//! [`SketchIndex`] stores projected rows in a columnar arena and scans
+//! [`SketchIndex`] stores embedded rows in a columnar arena and scans
 //! them through a prepared block kernel ([`PreparedSketchQuery`]) in
 //! 16-row tiles, mirroring the block-kernel scan path of the exact
-//! engine. [`store`] persists the arenas in a sidecar file alongside
+//! engine. [`store`] persists the arena in a sidecar file alongside
 //! the paged column store.
 
 pub mod index;
-pub mod normal;
 pub mod store;
 pub mod tree;
 
 pub use index::{PreparedSketchQuery, SketchIndex, TILE};
-pub use normal::NormalProjection;
 pub use store::{load_sidecar, save_sidecar, SketchSidecar};
 pub use tree::TreeEmbedding;
 
@@ -61,6 +55,18 @@ pub enum SketchError {
         /// Actual arena length.
         got: usize,
     },
+    /// The tree metric is shorter than the ground metric between two
+    /// bins, so the embedding would underestimate the EMD.
+    NotDominating {
+        /// First bin of the violating pair.
+        i: usize,
+        /// Second bin of the violating pair.
+        j: usize,
+        /// Tree distance between the two bins.
+        tree: f64,
+        /// Ground distance between the two bins.
+        ground: f64,
+    },
 }
 
 impl fmt::Display for SketchError {
@@ -78,38 +84,16 @@ impl fmt::Display for SketchError {
                     "sketch arena shape mismatch: expected {expected} entries, got {got}"
                 )
             }
+            SketchError::NotDominating { i, j, tree, ground } => write!(
+                f,
+                "tree metric does not dominate ground metric for bins {i} and {j} \
+                 (tree {tree} < ground {ground})"
+            ),
         }
     }
 }
 
 impl std::error::Error for SketchError {}
-
-/// A per-histogram summary with a closed-form distance.
-///
-/// A sketch maps a histogram (a slice of non-negative bin masses) to a
-/// fixed-length vector of `dim()` f64 coordinates; distances are then
-/// computed between projected vectors only. Projections are pure
-/// functions of the bin masses, so a [`SketchIndex`] can lay them out
-/// in a columnar arena and scan with a block kernel.
-pub trait Sketch {
-    /// Length of a projected vector.
-    fn dim(&self) -> usize;
-
-    /// Number of histogram bins a projectable histogram must have.
-    fn bins(&self) -> usize;
-
-    /// Projects `bins` into `out` (length exactly [`Sketch::dim`]).
-    ///
-    /// Masses are normalized to total 1 internally, so raw and
-    /// normalized histograms project identically.
-    fn project(&self, bins: &[f64], out: &mut [f64]) -> Result<(), SketchError>;
-
-    /// Closed-form distance between two projected vectors.
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// Short display name (`"tree"`, `"normal"`).
-    fn name(&self) -> &'static str;
-}
 
 /// One step of the splitmix64 sequence — the workspace's standard
 /// seedable, dependency-free PRNG (also used by the serve retry

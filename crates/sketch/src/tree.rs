@@ -31,8 +31,10 @@
 //! * tree distance `= 4 sqrt(d) (2^-s - 2^-L) >= 2 sqrt(d) * 2^-s`,
 //!
 //! so the tree metric **dominates** the ground metric and the tree EMD
-//! (= L1 between embeddings) never underestimates the true EMD. The
-//! worst-case overestimate is the per-pair maximum ratio, exposed as
+//! (= L1 between embeddings) never underestimates the true EMD.
+//! Construction re-checks domination on every bin pair and fails with
+//! [`SketchError::NotDominating`] if it does not hold. The worst-case
+//! overestimate is the per-pair maximum ratio, exposed as
 //! [`TreeEmbedding::distortion`]:
 //!
 //! ```text
@@ -41,7 +43,7 @@
 
 use std::collections::HashMap;
 
-use crate::{unit_f64, Sketch, SketchError};
+use crate::{unit_f64, SketchError};
 
 /// Cap on hierarchy depth: `2^-40` is far below any representable bin
 /// separation in practice and keeps cell indices inside a `u64`.
@@ -71,6 +73,16 @@ fn euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
+/// Checks one bin pair: the tree distance must not fall below the
+/// ground distance (up to rounding). Returns the pair's distortion
+/// `tree / ground`.
+fn pair_distortion(i: usize, j: usize, tree: f64, ground: f64) -> Result<f64, SketchError> {
+    if tree + 1e-12 < ground {
+        return Err(SketchError::NotDominating { i, j, tree, ground });
+    }
+    Ok(tree / ground)
+}
+
 impl TreeEmbedding {
     /// Builds the embedding over `centroids` (one point in `[0, 1]^d`
     /// per histogram bin) with the grid shift drawn from `seed`.
@@ -78,6 +90,8 @@ impl TreeEmbedding {
     /// Cost is `O(bins^2 * d)` for the minimum-separation scan and the
     /// distortion certificate — bin counts are small (tens to hundreds),
     /// so this is a one-time construction cost, not a per-row cost.
+    /// Fails with [`SketchError::NotDominating`] if some bin pair's tree
+    /// distance is below its ground distance.
     pub fn new(centroids: &[Vec<f64>], seed: u64) -> Result<Self, SketchError> {
         if centroids.is_empty() {
             return Err(SketchError::InvalidBinSpace);
@@ -140,14 +154,14 @@ impl TreeEmbedding {
             distortion: 1.0,
             nodes_per_bin,
         };
-        embedding.distortion = embedding.certify(centroids);
+        embedding.distortion = embedding.certify(centroids)?;
         Ok(embedding)
     }
 
     /// Worst-case per-pair overestimate of the tree metric over the
     /// ground metric, and a construction-time check that the tree
     /// metric dominates (the lower-bound side of the guarantee).
-    fn certify(&self, centroids: &[Vec<f64>]) -> f64 {
+    fn certify(&self, centroids: &[Vec<f64>]) -> Result<f64, SketchError> {
         let mut gamma: f64 = 1.0;
         let mut ei = vec![0.0; self.dim];
         let mut ej = vec![0.0; self.dim];
@@ -167,15 +181,11 @@ impl TreeEmbedding {
                 for &(slot, w) in &self.nodes_per_bin[j] {
                     ej[slot] += w;
                 }
-                let tree: f64 = ei.iter().zip(&ej).map(|(a, b)| (a - b).abs()).sum();
-                debug_assert!(
-                    tree + 1e-12 >= ground,
-                    "tree metric must dominate ground metric ({tree} < {ground})"
-                );
-                gamma = gamma.max(tree / ground);
+                let tree = self.distance(&ei, &ej);
+                gamma = gamma.max(pair_distortion(i, j, tree, ground)?);
             }
         }
-        gamma
+        Ok(gamma)
     }
 
     /// Depth of the hierarchy (leaf level).
@@ -194,18 +204,22 @@ impl TreeEmbedding {
     pub fn distortion(&self) -> f64 {
         self.distortion
     }
-}
 
-impl Sketch for TreeEmbedding {
-    fn dim(&self) -> usize {
+    /// Length of an embedding vector.
+    pub fn dim(&self) -> usize {
         self.dim
     }
 
-    fn bins(&self) -> usize {
+    /// Number of histogram bins a projectable histogram must have.
+    pub fn bins(&self) -> usize {
         self.bins
     }
 
-    fn project(&self, bins: &[f64], out: &mut [f64]) -> Result<(), SketchError> {
+    /// Embeds `bins` into `out` (length exactly [`TreeEmbedding::dim`]).
+    ///
+    /// Masses are normalized to total 1 internally, so raw and
+    /// normalized histograms project identically.
+    pub fn project(&self, bins: &[f64], out: &mut [f64]) -> Result<(), SketchError> {
         if bins.len() != self.bins {
             return Err(SketchError::ArityMismatch {
                 expected: self.bins,
@@ -228,12 +242,9 @@ impl Sketch for TreeEmbedding {
         Ok(())
     }
 
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
+    /// Tree-metric EMD between two embedding vectors: their L1 distance.
+    pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "tree"
     }
 }
 
@@ -254,6 +265,25 @@ mod tests {
                 c
             })
             .collect()
+    }
+
+    #[test]
+    fn a_pair_below_the_ground_distance_is_a_typed_error() {
+        assert_eq!(
+            pair_distortion(2, 5, 0.5, 1.0).unwrap_err(),
+            SketchError::NotDominating {
+                i: 2,
+                j: 5,
+                tree: 0.5,
+                ground: 1.0
+            }
+        );
+        // Equal up to rounding still dominates; the ratio is returned.
+        assert_eq!(
+            pair_distortion(0, 1, 1.0 - 1e-13, 1.0).unwrap(),
+            1.0 - 1e-13
+        );
+        assert_eq!(pair_distortion(0, 1, 3.0, 1.5).unwrap(), 2.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Page-backed columnar histogram blocks and the block buffer pool.
+//! Page-backed columnar histogram blocks and the block pool.
 //!
 //! The core crate's `HistogramDb` stores its rows in one contiguous
 //! row-major f64 arena. That caps corpus size at RAM. This module splits
@@ -363,12 +363,13 @@ impl ColumnStore {
 // Block pool
 // ---------------------------------------------------------------------------
 
-/// Access statistics of a [`BlockPool`].
+/// Access statistics of a [`BlockPool`]. Every lease counts exactly
+/// once, as a hit, a miss or a bypass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockPoolStats {
     /// Block requests served from a resident frame.
     pub hits: u64,
-    /// Block requests that had to read and decode from disk.
+    /// Block requests read and decoded from disk into a frame.
     pub misses: u64,
     /// Frames evicted to make room.
     pub evictions: u64,
@@ -475,7 +476,6 @@ impl BlockPool {
                 });
             }
         }
-        inner.stats.misses += 1;
         let mut span = obs::span!("store_block_load", block = block);
         let data = Arc::new(inner.store.read_block(block)?);
         span.record("rows", (data.len() / inner.store.meta().dims.max(1)) as f64);
@@ -489,6 +489,7 @@ impl BlockPool {
                 last_used: clock,
             });
             inner.map.insert(block, idx);
+            inner.stats.misses += 1;
         } else {
             // LRU among unpinned frames (strong count 1 = only the pool
             // holds it). If everything is pinned, serve uncached.
@@ -508,6 +509,7 @@ impl BlockPool {
                         frame.last_used = clock;
                         inner.map.remove(&old);
                         inner.map.insert(block, idx);
+                        inner.stats.misses += 1;
                         inner.stats.evictions += 1;
                     }
                 }

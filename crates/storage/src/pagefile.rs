@@ -1,5 +1,5 @@
-//! Fixed-size page I/O over a single file, with a checksummed header,
-//! per-page checksums, and a free-page list.
+//! Fixed-size page I/O over a single file, with a checksummed header
+//! and per-page checksums.
 //!
 //! All I/O goes through the [`Vfs`] abstraction so the same code runs on
 //! the production `std::fs` backend and the fault-injecting test backend
@@ -7,31 +7,29 @@
 //!
 //! # On-disk format
 //!
-//! Page 0 is the header (magic, version, page count, free-list head,
-//! header CRC); pages 1.. are user pages. Freed pages are chained through
-//! their first 4 bytes and reused before the file grows.
+//! Page 0 is the header (magic, version, page count, a reserved slot
+//! always written as `u32::MAX`, header CRC); pages 1.. are user pages,
+//! allocated by growing the file. The reserved slot keeps the header
+//! byte-identical to that of existing files, where it held a free-list
+//! head that was always empty for column files.
 //!
-//! Two format versions exist:
-//!
-//! * **v1** (legacy): physical page = [`PAGE_SIZE`] bytes, no per-page
-//!   integrity. Still readable and writable for existing files.
-//! * **v2** (current, written by [`PageFile::create`]): every physical
-//!   page carries an 8-byte trailer — a CRC-32 over `page_id ‖ content`
-//!   plus 4 reserved bytes. Covering the page id catches misdirected
-//!   writes, not just bit rot. [`PageFile::read_page`] verifies the
-//!   checksum and returns [`StorageError::PageChecksum`] on mismatch;
-//!   [`PageFile::open_with_recovery`] scans the whole file up front and
-//!   reports every corrupt page.
+//! The format is version 2: every physical page carries an 8-byte
+//! trailer — a CRC-32 over `page_id ‖ content` plus 4 reserved bytes.
+//! Covering the page id catches misdirected writes, not just bit rot.
+//! [`PageFile::read_page`] verifies the checksum and returns
+//! [`StorageError::PageChecksum`] on mismatch;
+//! [`PageFile::open_with_recovery`] scans the whole file up front and
+//! reports every corrupt page. A version-1 header (pages without
+//! trailers) is rejected with [`StorageError::BadHeader`].
 //!
 //! # Crash safety
 //!
-//! [`PageFile::allocate`] and [`PageFile::free`] no longer write the
-//! header eagerly; they mark it dirty, and [`PageFile::sync`] performs
-//! the crash-safe ordering: flush data pages, fsync, then write the
-//! header and fsync again. A crash between those fsyncs leaves the old
-//! header pointing at the old (fully durable) state; at worst, freshly
-//! grown pages past `num_pages` are leaked file space, never dangling
-//! references.
+//! [`PageFile::allocate`] does not write the header eagerly; it marks
+//! it dirty, and [`PageFile::sync`] performs the crash-safe ordering:
+//! flush data pages, fsync, then write the header and fsync again. A
+//! crash between those fsyncs leaves the old header pointing at the old
+//! (fully durable) state; at worst, freshly grown pages past
+//! `num_pages` are leaked file space, never dangling references.
 
 use crate::crc::{crc32, Crc32};
 use crate::vfs::{StdVfs, Vfs, VfsFile};
@@ -43,13 +41,13 @@ use std::path::Path;
 pub const PAGE_SIZE: usize = 4096;
 
 const MAGIC: u32 = 0x454D_4450; // "EMDP"
-/// Current (written) format version.
+/// The one supported format version.
 const VERSION: u32 = 2;
-/// Legacy format version (no per-page checksums), still readable.
-const VERSION_V1: u32 = 1;
-/// Per-page trailer in v2: CRC-32 (4 bytes) + reserved (4 bytes).
+/// Per-page trailer: CRC-32 (4 bytes) + reserved (4 bytes).
 const TRAILER: usize = 8;
-/// Sentinel for "no page" in free-list links.
+/// Physical bytes per page slot (content plus trailer).
+const PHYS_PAGE: usize = PAGE_SIZE + TRAILER;
+/// Value of the header's reserved slot (bytes 12..16).
 const NO_PAGE: u32 = u32::MAX;
 
 /// Identifier of a page within a [`PageFile`] (page 0 is the header and
@@ -72,8 +70,8 @@ pub enum StorageError {
     /// A page's content checksum does not match (bit rot, torn write, or
     /// misdirected write). Carries the id of the corrupt page.
     PageChecksum(PageId),
-    /// A page's structural invariants are violated (e.g. a slot
-    /// directory pointing outside the page).
+    /// A page's structural invariants are violated (e.g. a column row
+    /// that is not mass-normalized).
     CorruptPage {
         /// The offending page.
         page: PageId,
@@ -82,12 +80,6 @@ pub enum StorageError {
     },
     /// A page id beyond the end of the file was requested.
     PageOutOfBounds(PageId),
-    /// A record id did not resolve to a live record.
-    BadRecord,
-    /// A record exceeds the maximum storable size.
-    RecordTooLarge { size: usize, max: usize },
-    /// Every buffer-pool frame is pinned; no page can be brought in.
-    PoolExhausted,
 }
 
 impl fmt::Display for StorageError {
@@ -103,13 +95,6 @@ impl fmt::Display for StorageError {
                 write!(f, "page {} is corrupt: {reason}", page.0)
             }
             StorageError::PageOutOfBounds(id) => write!(f, "page {} out of bounds", id.0),
-            StorageError::BadRecord => write!(f, "record id does not resolve"),
-            StorageError::RecordTooLarge { size, max } => {
-                write!(f, "record of {size} bytes exceeds the page limit {max}")
-            }
-            StorageError::PoolExhausted => {
-                write!(f, "buffer pool exhausted: every frame is pinned")
-            }
         }
     }
 }
@@ -125,12 +110,9 @@ impl From<std::io::Error> for StorageError {
 /// Result of scanning a page file for corruption at open time.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Format version of the file (1 or 2).
-    pub version: u32,
     /// Total pages according to the header, including the header page.
     pub num_pages: u32,
-    /// Pages whose checksum failed or that could not be read. Empty for
-    /// v1 files (which carry no per-page integrity) unless truncated.
+    /// Pages whose checksum failed or that could not be read.
     pub corrupt_pages: Vec<PageId>,
 }
 
@@ -141,18 +123,14 @@ impl RecoveryReport {
     }
 }
 
-/// A file of [`PAGE_SIZE`]-byte pages with allocation and a free list.
+/// A file of [`PAGE_SIZE`]-byte pages that grows one page at a time.
 pub struct PageFile {
     file: Box<dyn VfsFile>,
     /// Total pages including the header page.
     num_pages: u32,
-    /// Head of the free-page chain, or [`NO_PAGE`].
-    free_head: u32,
-    /// Format version of this file (1 or 2).
-    version: u32,
-    /// Whether `num_pages`/`free_head` changed since the last header
-    /// write. The header is only written by [`PageFile::sync`], after
-    /// the data pages it describes are durable.
+    /// Whether `num_pages` changed since the last header write. The
+    /// header is only written by [`PageFile::sync`], after the data
+    /// pages it describes are durable.
     header_dirty: bool,
 }
 
@@ -169,8 +147,6 @@ impl PageFile {
         let mut pf = PageFile {
             file,
             num_pages: 1,
-            free_head: NO_PAGE,
-            version: VERSION,
             header_dirty: false,
         };
         pf.write_header()?;
@@ -178,7 +154,7 @@ impl PageFile {
     }
 
     /// Opens an existing page file on the standard filesystem, validating
-    /// its header. Accepts both v1 and v2 files.
+    /// its header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         Self::open_with(&StdVfs, path.as_ref())
     }
@@ -189,8 +165,6 @@ impl PageFile {
         let mut pf = PageFile {
             file,
             num_pages: 0,
-            free_head: NO_PAGE,
-            version: VERSION,
             header_dirty: false,
         };
         pf.read_header()?;
@@ -219,7 +193,6 @@ impl PageFile {
         let mut span = obs::span!("storage_recovery_scan");
         let mut pf = Self::open_with(vfs, path)?;
         let mut report = RecoveryReport {
-            version: pf.version,
             num_pages: pf.num_pages,
             corrupt_pages: Vec::new(),
         };
@@ -247,18 +220,8 @@ impl PageFile {
         self.num_pages
     }
 
-    /// On-disk format version of this file (1 or 2).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Physical bytes per page slot (content plus v2 trailer).
-    fn phys_page(&self) -> u64 {
-        (PAGE_SIZE + if self.version >= VERSION { TRAILER } else { 0 }) as u64
-    }
-
-    fn page_offset(&self, id: PageId) -> u64 {
-        id.0 as u64 * self.phys_page()
+    fn page_offset(id: PageId) -> u64 {
+        id.0 as u64 * PHYS_PAGE as u64
     }
 
     /// CRC over `page_id ‖ content`, so a page written to the wrong slot
@@ -270,7 +233,7 @@ impl PageFile {
         crc.finish()
     }
 
-    /// Checks the v2 trailer of the physical slot `slot` read for `id`.
+    /// Checks the trailer of the physical slot `slot` read for `id`.
     fn verify_slot(id: PageId, slot: &[u8]) -> Result<(), StorageError> {
         let content = slot.get(..PAGE_SIZE).unwrap_or_default();
         if le_u32(slot, PAGE_SIZE) != Self::page_crc(id, content) {
@@ -279,50 +242,29 @@ impl PageFile {
         Ok(())
     }
 
-    /// Writes `content` to the physical slot of `id` (with trailer on
-    /// v2), without bounds checks. Used for all page writes including
-    /// the header.
+    /// Writes `content` with its trailer to the physical slot of `id`,
+    /// without bounds checks. Used for all page writes including the
+    /// header.
     fn write_page_raw(
         &mut self,
         id: PageId,
         content: &[u8; PAGE_SIZE],
     ) -> Result<(), StorageError> {
         obs::event!("storage_page_write", page = id.0);
-        let offset = self.page_offset(id);
-        if self.version >= VERSION {
-            let mut phys = [0u8; PAGE_SIZE + TRAILER];
-            phys[..PAGE_SIZE].copy_from_slice(content);
-            let crc = Self::page_crc(id, content);
-            phys[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc.to_le_bytes());
-            self.file.write_all_at(&phys, offset)?;
-        } else {
-            self.file.write_all_at(content, offset)?;
-        }
-        Ok(())
-    }
-
-    /// Reads the physical slot of `id` into `buf`, verifying the v2
-    /// trailer checksum.
-    fn read_page_raw(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
-        obs::event!("storage_page_read", page = id.0);
-        let offset = self.page_offset(id);
-        if self.version >= VERSION {
-            let mut phys = [0u8; PAGE_SIZE + TRAILER];
-            self.file.read_exact_at(&mut phys, offset)?;
-            buf.copy_from_slice(&phys[..PAGE_SIZE]);
-            Self::verify_slot(id, &phys)?;
-        } else {
-            self.file.read_exact_at(buf, offset)?;
-        }
+        let mut phys = [0u8; PHYS_PAGE];
+        phys[..PAGE_SIZE].copy_from_slice(content);
+        let crc = Self::page_crc(id, content);
+        phys[PAGE_SIZE..PAGE_SIZE + 4].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all_at(&phys, Self::page_offset(id))?;
         Ok(())
     }
 
     fn write_header(&mut self) -> Result<(), StorageError> {
         let mut page = [0u8; PAGE_SIZE];
         page[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-        page[4..8].copy_from_slice(&self.version.to_le_bytes());
+        page[4..8].copy_from_slice(&VERSION.to_le_bytes());
         page[8..12].copy_from_slice(&self.num_pages.to_le_bytes());
-        page[12..16].copy_from_slice(&self.free_head.to_le_bytes());
+        page[12..16].copy_from_slice(&NO_PAGE.to_le_bytes());
         let crc = crc32(&page[0..16]);
         page[16..20].copy_from_slice(&crc.to_le_bytes());
         self.write_page_raw(PageId(0), &page)?;
@@ -332,16 +274,16 @@ impl PageFile {
 
     fn read_header(&mut self) -> Result<(), StorageError> {
         let mut page = [0u8; PAGE_SIZE];
-        // The header's own CRC at bytes 16..20 authenticates it on both
-        // versions; the v2 page trailer is verified for data pages only,
-        // since the version isn't known until the header is parsed.
+        // The header's own CRC at bytes 16..20 authenticates it; the
+        // page trailer is verified for data pages only, so a file of
+        // another version is reported by its version, not its trailer.
         self.file.read_exact_at(&mut page, 0)?;
         let magic = le_u32(&page, 0);
         if magic != MAGIC {
             return Err(StorageError::BadHeader("wrong magic".into()));
         }
         let version = le_u32(&page, 4);
-        if version != VERSION_V1 && version != VERSION {
+        if version != VERSION {
             return Err(StorageError::BadHeader(format!(
                 "unsupported version {version}"
             )));
@@ -350,52 +292,30 @@ impl PageFile {
         if stored_crc != crc32(&page[0..16]) {
             return Err(StorageError::HeaderChecksum);
         }
-        self.version = version;
         self.num_pages = le_u32(&page, 8);
-        self.free_head = le_u32(&page, 12);
         Ok(())
     }
 
-    /// Allocates a page: reuses the free list when possible, otherwise
-    /// grows the file. The page's previous contents are unspecified; the
-    /// caller overwrites it.
+    /// Allocates a page by growing the file with a zero page, which the
+    /// caller then overwrites.
     ///
     /// The header is not written until [`PageFile::sync`]; a crash before
     /// then loses the allocation (the grown file space is leaked, never
     /// referenced).
     pub fn allocate(&mut self) -> Result<PageId, StorageError> {
-        if self.free_head != NO_PAGE {
-            let id = PageId(self.free_head);
-            let mut buf = [0u8; PAGE_SIZE];
-            self.read_page(id, &mut buf)?;
-            self.free_head = le_u32(&buf, 0);
-            self.header_dirty = true;
-            return Ok(id);
-        }
         let id = PageId(self.num_pages);
         let grown = self
             .num_pages
             .checked_add(1)
             .ok_or(StorageError::PageOutOfBounds(id))?;
-        // Extend the file with a zero page (checksummed on v2). Only
-        // count the page once the write succeeded, so a failed grow
-        // (e.g. ENOSPC) leaves the file state consistent.
+        // Extend the file with a checksummed zero page. Only count the
+        // page once the write succeeded, so a failed grow (e.g. ENOSPC)
+        // leaves the file state consistent.
         let zero = [0u8; PAGE_SIZE];
         self.write_page_raw(id, &zero)?;
         self.num_pages = grown;
         self.header_dirty = true;
         Ok(id)
-    }
-
-    /// Returns a page to the free list.
-    pub fn free(&mut self, id: PageId) -> Result<(), StorageError> {
-        self.check_bounds(id)?;
-        let mut buf = [0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(&self.free_head.to_le_bytes());
-        self.write_page(id, &buf)?;
-        self.free_head = id.0;
-        self.header_dirty = true;
-        Ok(())
     }
 
     fn check_bounds(&self, id: PageId) -> Result<(), StorageError> {
@@ -405,20 +325,24 @@ impl PageFile {
         Ok(())
     }
 
-    /// Reads a page into `buf`, verifying its checksum on v2 files.
+    /// Reads a page into `buf`, verifying its checksum.
     pub fn read_page(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StorageError> {
         self.check_bounds(id)?;
-        self.read_page_raw(id, buf)
+        obs::event!("storage_page_read", page = id.0);
+        let mut phys = [0u8; PHYS_PAGE];
+        self.file.read_exact_at(&mut phys, Self::page_offset(id))?;
+        buf.copy_from_slice(&phys[..PAGE_SIZE]);
+        Self::verify_slot(id, &phys)
     }
 
     /// Reads the `count` consecutive pages starting at `first` with one
     /// positioned read into `buf` (resized to `count` physical slots and
-    /// reusable across calls), then verifies each page's v2 checksum
+    /// reusable across calls), then verifies each page's checksum
     /// exactly as [`PageFile::read_page`] does: the first failing page is
     /// reported as [`StorageError::PageChecksum`] with its own id.
     ///
     /// Returns the pages' contents in order, [`PAGE_SIZE`] bytes each,
-    /// borrowed from `buf` (the v2 trailers are skipped).
+    /// borrowed from `buf` (the trailers are skipped).
     pub(crate) fn read_pages<'b>(
         &mut self,
         first: PageId,
@@ -433,21 +357,18 @@ impl PageFile {
                 .ok_or(StorageError::PageOutOfBounds(first))?;
             self.check_bounds(PageId(last))?;
         }
-        let phys = self.phys_page() as usize;
-        buf.resize(count * phys, 0);
-        self.file.read_exact_at(buf, self.page_offset(first))?;
-        for (id, slot) in (first.0..).zip(buf.chunks_exact(phys)) {
+        buf.resize(count * PHYS_PAGE, 0);
+        self.file.read_exact_at(buf, Self::page_offset(first))?;
+        for (id, slot) in (first.0..).zip(buf.chunks_exact(PHYS_PAGE)) {
             obs::event!("storage_page_read", page = id);
-            if self.version >= VERSION {
-                Self::verify_slot(PageId(id), slot)?;
-            }
+            Self::verify_slot(PageId(id), slot)?;
         }
         Ok(buf
-            .chunks_exact(phys)
+            .chunks_exact(PHYS_PAGE)
             .map(|slot| slot.get(..PAGE_SIZE).unwrap_or_default()))
     }
 
-    /// Writes a page from `buf` (with a fresh checksum on v2 files).
+    /// Writes a page from `buf` with a fresh checksum.
     pub fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
         self.check_bounds(id)?;
         self.write_page_raw(id, buf)
@@ -517,26 +438,9 @@ mod tests {
         }
         let mut pf = PageFile::open(&path).unwrap();
         assert_eq!(pf.num_pages(), 3);
-        assert_eq!(pf.version(), 2);
         let mut back = [0u8; PAGE_SIZE];
         pf.read_page(PageId(1), &mut back).unwrap();
         assert_eq!(back[0], 9);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn free_list_reuses_pages() {
-        let path = temp_path("freelist.db");
-        let mut pf = PageFile::create(&path).unwrap();
-        let a = pf.allocate().unwrap();
-        let b = pf.allocate().unwrap();
-        pf.free(a).unwrap();
-        pf.free(b).unwrap();
-        // LIFO reuse: most recently freed first.
-        assert_eq!(pf.allocate().unwrap(), b);
-        assert_eq!(pf.allocate().unwrap(), a);
-        // No growth happened.
-        assert_eq!(pf.num_pages(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -587,8 +491,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_remain_readable_and_writable() {
-        // Hand-craft a v1 file: header + one data page, no trailers.
+    fn v1_header_is_rejected() {
+        // Hand-craft a v1 file (header + one data page, no trailers): a
+        // valid header CRC, but a version this format no longer reads.
         let path = temp_path("v1.db");
         let mut bytes = vec![0u8; 2 * PAGE_SIZE];
         bytes[0..4].copy_from_slice(&MAGIC.to_le_bytes());
@@ -597,26 +502,32 @@ mod tests {
         bytes[12..16].copy_from_slice(&NO_PAGE.to_le_bytes());
         let crc = crc32(&bytes[0..16]);
         bytes[16..20].copy_from_slice(&crc.to_le_bytes());
-        bytes[PAGE_SIZE + 33] = 77; // data in page 1
         std::fs::write(&path, &bytes).unwrap();
-
-        let mut pf = PageFile::open(&path).unwrap();
-        assert_eq!(pf.version(), 1);
-        assert_eq!(pf.num_pages(), 2);
-        let mut back = [0u8; PAGE_SIZE];
-        pf.read_page(PageId(1), &mut back).unwrap();
-        assert_eq!(back[33], 77);
-
-        // Writing and growing keeps the v1 layout.
-        let id = pf.allocate().unwrap();
-        let page = [5u8; PAGE_SIZE];
-        pf.write_page(id, &page).unwrap();
-        pf.sync().unwrap();
-        let mut pf = PageFile::open(&path).unwrap();
-        assert_eq!(pf.version(), 1);
-        pf.read_page(id, &mut back).unwrap();
-        assert_eq!(back[0], 5);
+        match PageFile::open(&path) {
+            Err(StorageError::BadHeader(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+            Err(e) => panic!("expected BadHeader, got {e:?}"),
+            Ok(_) => panic!("a v1 file must not open"),
+        }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn header_layout_is_unchanged() {
+        // Magic, version 2, page count, the reserved slot (u32::MAX),
+        // then the CRC over those 16 bytes; page 0 carries a trailer.
+        let path = temp_path("layout.db");
+        let mut pf = PageFile::create(&path).unwrap();
+        pf.allocate().unwrap();
+        pf.sync().unwrap();
+        drop(pf);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(bytes.len(), 2 * PHYS_PAGE);
+        assert_eq!(le_u32(&bytes, 0), MAGIC);
+        assert_eq!(le_u32(&bytes, 4), 2);
+        assert_eq!(le_u32(&bytes, 8), 2);
+        assert_eq!(le_u32(&bytes, 12), u32::MAX);
+        assert_eq!(le_u32(&bytes, 16), crc32(&bytes[0..16]));
     }
 
     #[test]
@@ -631,8 +542,7 @@ mod tests {
         drop(pf);
 
         // Flip one bit in the middle of page 1's content.
-        let phys = PAGE_SIZE + TRAILER;
-        assert!(vfs.flip_bit(path, phys + 1000, 2));
+        assert!(vfs.flip_bit(path, PHYS_PAGE + 1000, 2));
 
         let mut pf = PageFile::open_with(&vfs, path).unwrap();
         let mut buf = [0u8; PAGE_SIZE];
@@ -656,12 +566,10 @@ mod tests {
         drop(pf);
 
         // Corrupt pages 2 and 4; pages 1 and 3 stay intact.
-        let phys = PAGE_SIZE + TRAILER;
-        assert!(vfs.flip_bit(path, 2 * phys + 17, 0));
-        assert!(vfs.flip_bit(path, 4 * phys + 90, 7));
+        assert!(vfs.flip_bit(path, 2 * PHYS_PAGE + 17, 0));
+        assert!(vfs.flip_bit(path, 4 * PHYS_PAGE + 90, 7));
 
         let (mut pf, report) = PageFile::open_with_recovery_with(&vfs, path).unwrap();
-        assert_eq!(report.version, 2);
         assert_eq!(report.num_pages, 5);
         assert_eq!(report.corrupt_pages, vec![PageId(2), PageId(4)]);
         assert!(!report.is_clean());

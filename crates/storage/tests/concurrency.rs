@@ -1,67 +1,79 @@
-//! Concurrency test: the buffer pool's mutex-guarded frames must stay
-//! consistent when many threads hammer the same pages.
+//! Concurrency test: the block pool's mutex-guarded frames must stay
+//! consistent when many threads lease overlapping blocks at once.
 
-use earthmover_storage::{BufferPool, PageFile, PageId};
+use earthmover_storage::{BlockPool, ColumnWriter, FaultVfs};
+use std::path::Path;
 use std::sync::Arc;
 
-#[test]
-fn concurrent_reads_and_writes_stay_consistent() {
-    let dir = std::env::temp_dir().join("earthmover-concurrency-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("conc-{}.db", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+const DIMS: usize = 4;
+const ROWS_PER_BLOCK: usize = 8;
+const BLOCKS: usize = 24;
+const THREADS: usize = 16;
+const ROUNDS: usize = 200;
 
-    let file = PageFile::create(&path).unwrap();
+/// Row `i` is `(i + 1, 1, 1, 1) / (i + 4)`: every block holds rows no
+/// other block does, so a lease showing another block's bytes is caught.
+fn rows() -> Vec<f64> {
+    (0..BLOCKS * ROWS_PER_BLOCK)
+        .flat_map(|i| {
+            let total = i as f64 + 4.0;
+            [
+                (i as f64 + 1.0) / total,
+                1.0 / total,
+                1.0 / total,
+                1.0 / total,
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn concurrent_leases_see_their_own_rows() {
+    let data = Arc::new(rows());
+    let vfs = FaultVfs::new();
+    let mut writer =
+        ColumnWriter::create_with(&vfs, Path::new("conc.emdc"), DIMS, ROWS_PER_BLOCK).unwrap();
+    writer.append_rows(&data).unwrap();
     // A pool smaller than the working set forces constant eviction under
     // contention — the worst case for frame bookkeeping.
-    let pool = Arc::new(BufferPool::new(file, 4));
+    let pool = Arc::new(BlockPool::new(writer.finish().unwrap(), 4));
 
-    // 16 pages, each owned by one writer thread; each page's bytes are
-    // filled with the owner's tag so cross-thread corruption is visible.
-    let pages: Vec<PageId> = (0..16).map(|_| pool.allocate().unwrap()).collect();
-    let pages = Arc::new(pages);
-
-    let mut handles = Vec::new();
-    for owner in 0..16u8 {
-        let pool = Arc::clone(&pool);
-        let pages = Arc::clone(&pages);
-        handles.push(std::thread::spawn(move || {
-            let my_page = pages[owner as usize];
-            for round in 0..50u8 {
-                // Write my tag + round everywhere in my page.
-                pool.with_page_mut(my_page, |p| {
-                    p.fill(owner);
-                    p[0] = round;
-                })
-                .unwrap();
-                // Read someone else's page; it must be internally
-                // consistent (all bytes after the round marker share one
-                // owner tag).
-                let other = pages[((owner as usize) + 7) % 16];
-                pool.with_page(other, |p| {
-                    let tag = p[1];
-                    assert!(
-                        p[1..].iter().all(|b| *b == tag),
-                        "torn page observed: mixed tags"
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let pool = Arc::clone(&pool);
+            let data = Arc::clone(&data);
+            std::thread::spawn(move || {
+                let block_len = ROWS_PER_BLOCK * DIMS;
+                let mut held = Vec::new();
+                for round in 0..ROUNDS {
+                    // Neighbouring threads walk overlapping blocks.
+                    let b = (t + round * (t % 3 + 1)) % BLOCKS;
+                    let lease = pool.lease(b).unwrap();
+                    assert_eq!(
+                        &*lease,
+                        &data[b * block_len..(b + 1) * block_len],
+                        "thread {t} round {round}: block {b} holds other rows"
                     );
-                })
-                .unwrap();
-            }
-        }));
-    }
+                    // Keep a few leases pinned so some misses bypass.
+                    if round % 5 == 0 {
+                        held.push(lease);
+                        if held.len() > 2 {
+                            held.remove(0);
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
     for h in handles {
         h.join().expect("worker panicked");
     }
 
-    // After the storm: every page holds exactly its owner's tag.
-    for (owner, page) in pages.iter().enumerate() {
-        pool.with_page(*page, |p| {
-            assert!(p[1..].iter().all(|b| *b == owner as u8), "page {owner}");
-        })
-        .unwrap();
-    }
-    pool.sync().unwrap();
     let stats = pool.stats();
     assert!(stats.evictions > 0, "the test must have exercised eviction");
-    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        stats.hits + stats.misses + stats.bypasses,
+        (THREADS * ROUNDS) as u64,
+        "every lease is counted exactly once: {stats:?}"
+    );
 }

@@ -1,223 +1,215 @@
-//! Crash-consistency tests: random workloads against the fault-injecting
-//! VFS, with simulated power loss at arbitrary points.
+//! Crash-consistency tests: column files written through the
+//! fault-injecting VFS, with simulated power loss at arbitrary points.
 //!
 //! The contract under test (see DESIGN.md, "Failure model and recovery"):
-//! after a crash, reopening the store either succeeds with exactly the
-//! state of the last sync (clean crash), or — when unsynced writes
-//! partially persisted, tearing pages — every affected page is caught by
-//! its checksum and reported as a *typed* [`StorageError`]. The store
-//! never panics and never silently returns bytes a record did not hold.
+//! a column file exists, for a reader, only once `ColumnWriter::finish`
+//! has synced it. After a crash, reopening either yields exactly the
+//! rows that were written (the file was finished), or a *typed*
+//! [`StorageError`] — torn and corrupt pages are caught by their
+//! checksums. The store never panics and never returns rows that were
+//! not written.
 
+use earthmover_core::pipeline::QueryEngine;
+use earthmover_core::storage::open_paged_with;
+use earthmover_core::{BinGrid, Histogram, PipelineError};
 use earthmover_storage::vfs::FaultVfs;
-use earthmover_storage::{BufferPool, PageFile, RecordId, RecordStore, StorageError};
+use earthmover_storage::{
+    crc32, ColumnStore, ColumnWriter, PageFile, PageId, StorageError, Vfs, PAGE_SIZE,
+};
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::path::Path;
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Append a record of the given length with a content seed.
-    Append { len: u16, seed: u8 },
-    /// Delete the k-th (mod live count) record.
-    Delete { k: u16 },
-    /// Make everything durable.
-    Sync,
+const DIMS: usize = 4;
+/// Physical bytes per page slot: content plus the 8-byte CRC trailer.
+const PHYS: usize = PAGE_SIZE + 8;
+/// Page of the first block: page 0 is the page-file header, page 1 the
+/// column meta page.
+const FIRST_BLOCK_PAGE: usize = 2;
+const PATH: &str = "crash.emdc";
+
+/// `n` mass-normalized rows of `DIMS` bins.
+fn rows(n: usize, seed: u64) -> Vec<f64> {
+    let mut out = Vec::with_capacity(n * DIMS);
+    for i in 0..n as u64 {
+        let w: Vec<f64> = (0..DIMS as u64)
+            .map(|j| ((seed ^ (i * 31 + j * 7)) % 13) as f64 + 1.0)
+            .collect();
+        let total: f64 = w.iter().sum();
+        out.extend(w.iter().map(|x| x / total));
+    }
+    out
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u16..2000, any::<u8>()).prop_map(|(len, seed)| Op::Append { len, seed }),
-        (any::<u16>(),).prop_map(|(k,)| Op::Delete { k }),
-        Just(Op::Sync),
-    ]
+/// Reads every block of the column file at [`PATH`] back as one arena.
+fn read_all(vfs: &FaultVfs) -> Result<Vec<f64>, StorageError> {
+    let mut store = ColumnStore::open_with(vfs, Path::new(PATH))?;
+    let mut all = Vec::new();
+    for b in 0..store.meta().num_blocks() {
+        all.extend(store.read_block(b)?);
+    }
+    Ok(all)
 }
 
-fn record_bytes(len: u16, seed: u8) -> Vec<u8> {
-    (0..len).map(|i| seed.wrapping_add(i as u8)).collect()
+/// Writes `data` in `chunks` appends of `rows_per_block`-row blocks and,
+/// when `finish` is set, finishes (syncs) the file.
+fn write(vfs: &FaultVfs, data: &[f64], rows_per_block: usize, chunks: usize, finish: bool) {
+    let mut w =
+        ColumnWriter::create_with(vfs, Path::new(PATH), DIMS, rows_per_block).expect("create");
+    let rows_per_chunk = (data.len() / DIMS).div_ceil(chunks.max(1)).max(1);
+    for chunk in data.chunks(rows_per_chunk * DIMS) {
+        w.append_rows(chunk).expect("append");
+    }
+    if finish {
+        w.finish().expect("finish");
+    }
 }
 
-/// Runs a workload on a fresh fault-backed store and returns
-/// `(vfs, first_page, state_at_last_sync, every_value_each_id_ever_held)`.
-type WorkloadState = (
-    FaultVfs,
-    earthmover_storage::PageId,
-    Vec<(RecordId, Vec<u8>)>,
-    HashMap<RecordId, Vec<Vec<u8>>>,
-);
-
-fn run_workload(ops: &[Op]) -> WorkloadState {
-    let vfs = FaultVfs::new();
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).expect("create");
-    let pool = BufferPool::new(file, 3); // tiny pool: constant writebacks
-    let mut store = RecordStore::create(pool).expect("create store");
-    let first = store.first_page();
-    store.sync().expect("initial sync");
-
-    let mut live: Vec<(RecordId, Vec<u8>)> = Vec::new();
-    let mut synced: Vec<(RecordId, Vec<u8>)> = Vec::new();
-    let mut history: HashMap<RecordId, Vec<Vec<u8>>> = HashMap::new();
-
-    for op in ops {
-        match op {
-            Op::Append { len, seed } => {
-                let data = record_bytes(*len, *seed);
-                let id = store.append(&data).expect("append");
-                history.entry(id).or_default().push(data.clone());
-                live.push((id, data));
-            }
-            Op::Delete { k } => {
-                if live.is_empty() {
-                    continue;
-                }
-                let idx = *k as usize % live.len();
-                let (id, _) = live.remove(idx);
-                store.delete(id).expect("delete");
-            }
-            Op::Sync => {
-                store.sync().expect("sync");
-                synced = live.clone();
+/// Overwrites bytes of `path`'s durable image by flipping exactly the
+/// bits that differ — the only mutation the fault VFS offers.
+fn patch(vfs: &FaultVfs, path: &Path, at: usize, new: &[u8]) {
+    let mut file = vfs.open(path).unwrap();
+    let mut old = vec![0u8; new.len()];
+    file.read_exact_at(&mut old, at as u64).unwrap();
+    for (i, (o, n)) in old.iter().zip(new).enumerate() {
+        for bit in 0..8 {
+            if (o ^ n) & (1 << bit) != 0 {
+                assert!(vfs.flip_bit(path, at + i, bit));
             }
         }
     }
-    (vfs, first, synced, history)
-}
-
-/// Reopens the store after a crash. Any typed error is an acceptable
-/// outcome; a panic is not (it would abort the test process).
-fn reopen_and_scan(
-    vfs: &FaultVfs,
-    first: earthmover_storage::PageId,
-) -> Result<Vec<(RecordId, Vec<u8>)>, StorageError> {
-    let (file, _report) = PageFile::open_with_recovery_with(vfs, Path::new("crash.db"))?;
-    let pool = BufferPool::new(file, 3);
-    let store = RecordStore::open(pool, first)?;
-    store.scan()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A clean crash (nothing unsynced persists) must restore exactly
-    /// the state of the last sync.
+    /// A clean crash (nothing unsynced persists) before `finish` leaves
+    /// no readable store — a typed error, never rows; after `finish` the
+    /// file reopens with exactly the written rows.
     #[test]
-    fn clean_crash_restores_last_sync(ops in prop::collection::vec(arb_op(), 1..40)) {
-        let (vfs, first, synced, _) = run_workload(&ops);
+    fn clean_crash_restores_last_sync(
+        n in 0usize..60,
+        rows_per_block in 1usize..8,
+        chunks in 1usize..5,
+        finish in any::<bool>(),
+    ) {
+        let vfs = FaultVfs::new();
+        let data = rows(n, n as u64);
+        write(&vfs, &data, rows_per_block, chunks, finish);
         vfs.crash();
-        let scanned = reopen_and_scan(&vfs, first)
-            .expect("clean crash must reopen cleanly");
-        prop_assert_eq!(scanned, synced);
+        match read_all(&vfs) {
+            Ok(back) => {
+                prop_assert!(finish, "an unfinished file reopened with {} values", back.len());
+                prop_assert_eq!(back, data);
+            }
+            Err(e) => prop_assert!(!finish, "a finished file failed to reopen: {}", e),
+        }
     }
 
-    /// A crash that persists an arbitrary prefix of the unsynced writes
-    /// — tearing the next one at a sector boundary — must either yield a
-    /// typed error or a scan in which every record holds bytes it
-    /// legitimately held at some point. Never a panic, never garbage.
+    /// A crash that persists an arbitrary prefix of the unsynced writes —
+    /// tearing the next one at a sector boundary — either yields a typed
+    /// error or exactly the finished rows. `finish` may itself run out of
+    /// space after `budget` writes (none when `budget >= 40`), so the
+    /// crash can land inside it.
     #[test]
     fn partial_crash_is_typed_error_or_valid_state(
-        ops in prop::collection::vec(arb_op(), 1..40),
-        persist in 0usize..40,
+        n in 1usize..60,
+        rows_per_block in 1usize..8,
+        budget in 0u64..50,
+        persist in 0usize..60,
         torn in 0usize..8192,
     ) {
-        let (vfs, first, synced, history) = run_workload(&ops);
+        let vfs = FaultVfs::new();
+        let data = rows(n, 7);
+        let mut w = ColumnWriter::create_with(&vfs, Path::new(PATH), DIMS, rows_per_block)
+            .expect("create");
+        w.append_rows(&data).expect("append");
+        vfs.set_write_budget((budget < 40).then_some(budget));
+        let finished = w.finish().is_ok();
+        vfs.set_write_budget(None);
         vfs.crash_with_partial(persist, torn);
-        match reopen_and_scan(&vfs, first) {
-            Err(_typed) => {} // corruption detected and reported: acceptable
-            Ok(scanned) => {
-                for (id, data) in &scanned {
-                    let held = history.get(id).map(|v| v.contains(data)).unwrap_or(false);
-                    prop_assert!(
-                        held,
-                        "record {:?} returned bytes it never held ({} bytes)",
-                        id,
-                        data.len()
-                    );
-                }
-                // With zero unsynced writes persisted, the durable state
-                // is exactly the last sync.
-                if persist == 0 && torn < 512 {
-                    prop_assert_eq!(scanned, synced);
-                }
-            }
+        match read_all(&vfs) {
+            Err(_typed) => prop_assert!(!finished, "a finished file failed to reopen"),
+            Ok(back) => prop_assert_eq!(back, data, "reopened with other rows"),
         }
     }
 }
 
-/// Bit rot in a synced data page is caught by the v2 page checksum and
-/// reported with the corrupt page's id (acceptance test from the issue).
+/// Bit rot in a synced block page is caught by that page's checksum and
+/// named by its id: from `ColumnStore::read_block`, from a recovery
+/// scan, and as the reason of the typed error a paged k-NN returns.
 #[test]
 fn flipped_bit_reports_corrupt_page_id() {
-    let vfs = FaultVfs::new();
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 4);
-    let mut store = RecordStore::create(pool).unwrap();
-    let ids: Vec<RecordId> = (0..200u32)
-        .map(|i| store.append(&i.to_le_bytes()).unwrap())
-        .collect();
-    let first = store.first_page();
-    store.sync().unwrap();
-    drop(store);
+    // 256 rows of 4 bins are 8 KiB: two pages per block, four blocks.
+    let rows_per_block = 256;
+    let data = rows(4 * rows_per_block, 3);
+    let grid = BinGrid::new(vec![2, 2]);
+    let query = Histogram::new(data[..DIMS].to_vec()).unwrap();
+    for page in [FIRST_BLOCK_PAGE, FIRST_BLOCK_PAGE + 3, FIRST_BLOCK_PAGE + 7] {
+        let block = (page - FIRST_BLOCK_PAGE) / 2;
+        let vfs = FaultVfs::new();
+        write(&vfs, &data, rows_per_block, 1, true);
+        assert!(vfs.flip_bit(PATH, page * PHYS + 1000, 5));
+        let expected = PageId(page as u32);
 
-    // Flip one bit inside data page 1's content area.
-    let phys = 4096 + 8;
-    assert!(vfs.flip_bit(path, phys + 2048, 5));
-
-    let (mut file, report) = PageFile::open_with_recovery_with(&vfs, path).unwrap();
-    assert_eq!(report.corrupt_pages, vec![earthmover_storage::PageId(1)]);
-
-    // Reading the page directly yields the typed checksum error naming it.
-    let mut buf = [0u8; 4096];
-    match file.read_page(earthmover_storage::PageId(1), &mut buf) {
-        Err(StorageError::PageChecksum(p)) => assert_eq!(p.0, 1),
-        other => panic!("expected PageChecksum, got {other:?}"),
-    }
-
-    // The store surfaces it as a typed error too (no panic), since the
-    // first page of the chain is the corrupt one.
-    let pool = BufferPool::new(file, 4);
-    match RecordStore::open(pool, first) {
-        Err(StorageError::PageChecksum(p)) => assert_eq!(p.0, 1),
-        Err(other) => panic!("expected PageChecksum, got {other}"),
-        Ok(store) => {
-            // If open succeeded (first page intact in other layouts),
-            // scanning must hit the corruption.
-            match store.scan() {
-                Err(StorageError::PageChecksum(_)) => {}
-                other => panic!("expected PageChecksum from scan, got {other:?}"),
+        let mut store = ColumnStore::open_with(&vfs, Path::new(PATH)).unwrap();
+        for b in 0..store.meta().num_blocks() {
+            match store.read_block(b) {
+                Err(StorageError::PageChecksum(p)) if b == block => assert_eq!(p, expected),
+                Ok(rows) if b != block => {
+                    let at = b * rows_per_block * DIMS;
+                    assert_eq!(rows, data[at..at + rows.len()]);
+                }
+                other => panic!("block {b} with page {page} flipped: {other:?}"),
             }
         }
-    }
-    let _ = ids;
-}
 
-/// ENOSPC mid-append surfaces as a typed I/O error and the store remains
-/// usable once space is available again.
-#[test]
-fn enospc_mid_append_is_typed_and_recoverable() {
-    let vfs = FaultVfs::new();
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 2);
-    let mut store = RecordStore::create(pool).unwrap();
-    store.sync().unwrap();
+        let (_, report) = PageFile::open_with_recovery_with(&vfs, Path::new(PATH)).unwrap();
+        assert_eq!(report.corrupt_pages, vec![expected]);
 
-    vfs.set_write_budget(Some(0));
-    // Keep appending until the page chain must grow and hit the disk.
-    let mut saw_error = false;
-    for i in 0..100u32 {
-        if let Err(e) = store.append(&[7u8; 1000]) {
-            assert!(matches!(e, StorageError::Io(_)), "unexpected error {e}");
-            saw_error = true;
-            let _ = i;
-            break;
+        // The paged query stack scans every block, so the flip surfaces
+        // as a typed source error naming the page.
+        let paged = open_paged_with(&vfs, Path::new(PATH), 1 << 20).unwrap();
+        let engine = QueryEngine::builder(&paged, &grid).build();
+        match engine.knn(&query, 3) {
+            Err(PipelineError::Source { reason, .. }) => assert!(
+                reason.contains(&format!("page {page} checksum mismatch")),
+                "{reason}"
+            ),
+            Err(other) => panic!("expected a Source error, got {other}"),
+            Ok(_) => panic!("a k-NN over a corrupt block must not succeed"),
         }
     }
-    assert!(saw_error, "write budget of zero must surface ENOSPC");
+}
 
-    vfs.set_write_budget(None);
-    let id = store.append(b"after recovery").unwrap();
-    assert_eq!(store.get(id).unwrap(), b"after recovery");
+/// ENOSPC during `append_rows` or `finish` is a typed I/O error. The
+/// half-written file never reopens with rows, and once space is back a
+/// rewrite of the same path reads back exactly.
+#[test]
+fn enospc_mid_append_is_typed_and_recoverable() {
+    let data = rows(40, 11);
+    for budget in 0..30u64 {
+        let vfs = FaultVfs::new();
+        let mut w = ColumnWriter::create_with(&vfs, Path::new(PATH), DIMS, 3).unwrap();
+        vfs.set_write_budget(Some(budget));
+        let err = match w.append_rows(&data) {
+            Err(e) => e,
+            Ok(()) => match w.finish() {
+                Err(e) => e,
+                Ok(_) => panic!("budget {budget} covered the whole file"),
+            },
+        };
+        assert!(matches!(err, StorageError::Io(_)), "budget {budget}: {err}");
+        assert!(err.to_string().contains("ENOSPC"), "budget {budget}: {err}");
+
+        vfs.set_write_budget(None);
+        vfs.crash();
+        assert!(
+            read_all(&vfs).is_err(),
+            "budget {budget}: a half-written file reopened"
+        );
+        write(&vfs, &data, 3, 2, true);
+        assert_eq!(read_all(&vfs).unwrap(), data, "budget {budget}");
+    }
 }
 
 /// Short reads and writes at the VFS layer are invisible above it.
@@ -226,21 +218,30 @@ fn short_io_does_not_affect_store_correctness() {
     let vfs = FaultVfs::new();
     vfs.set_short_writes(Some(100));
     vfs.set_short_reads(Some(64));
-    let path = Path::new("crash.db");
-    let file = PageFile::create_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 2);
-    let mut store = RecordStore::create(pool).unwrap();
-    let ids: Vec<RecordId> = (0..50u32)
-        .map(|i| store.append(&record_bytes(500, i as u8)).unwrap())
-        .collect();
-    store.sync().unwrap();
-    let first = store.first_page();
-    drop(store);
+    let data = rows(700, 5);
+    write(&vfs, &data, 300, 3, true);
+    assert_eq!(read_all(&vfs).unwrap(), data);
+}
 
-    let file = PageFile::open_with(&vfs, path).unwrap();
-    let pool = BufferPool::new(file, 2);
-    let store = RecordStore::open(pool, first).unwrap();
-    for (i, id) in ids.iter().enumerate() {
-        assert_eq!(store.get(*id).unwrap(), record_bytes(500, i as u8));
+/// A page-file header of version 1 (pages without checksum trailers) is
+/// rejected as a typed `BadHeader`, even with a valid header CRC.
+#[test]
+fn v1_header_is_rejected() {
+    let vfs = FaultVfs::new();
+    let data = rows(10, 1);
+    write(&vfs, &data, 4, 1, true);
+    let path = Path::new(PATH);
+    let mut header = [0u8; 16];
+    vfs.open(path)
+        .unwrap()
+        .read_exact_at(&mut header, 0)
+        .unwrap();
+    header[4..8].copy_from_slice(&1u32.to_le_bytes());
+    patch(&vfs, path, 0, &header);
+    patch(&vfs, path, 16, &crc32(&header).to_le_bytes());
+    match ColumnStore::open_with(&vfs, path) {
+        Err(StorageError::BadHeader(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+        Err(other) => panic!("expected BadHeader, got {other}"),
+        Ok(_) => panic!("a v1 header must not open"),
     }
 }

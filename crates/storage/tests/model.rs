@@ -1,25 +1,28 @@
-//! Model-based property test: a random sequence of append/delete/get
-//! operations against the paged record store must behave exactly like a
-//! plain in-memory vector of optional records.
+//! Model-based property test: a random sequence of block leases, some
+//! held and some released, against a column file behind a small
+//! `BlockPool` must behave exactly like slicing the in-memory rows.
 
-use earthmover_storage::{BufferPool, PageFile, RecordId, RecordStore};
+use earthmover_storage::{BlockLease, BlockPool, ColumnWriter, FaultVfs};
 use proptest::prelude::*;
+use std::path::Path;
+
+const DIMS: usize = 3;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Append a record of the given length filled with the given byte.
-    Append { len: usize, fill: u8 },
-    /// Delete the i-th appended record (modulo the number appended).
-    Delete(usize),
-    /// Read the i-th appended record (modulo) and compare to the model.
-    Get(usize),
+    /// Lease the i-th block (modulo the block count) and drop it.
+    Lease(usize),
+    /// Lease the i-th block and keep it pinned.
+    Hold(usize),
+    /// Release the i-th held lease (modulo the number held).
+    Release(usize),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0usize..2000, any::<u8>()).prop_map(|(len, fill)| Op::Append { len, fill }),
-        (0usize..64).prop_map(Op::Delete),
-        (0usize..64).prop_map(Op::Get),
+        (0usize..64).prop_map(Op::Lease),
+        (0usize..64).prop_map(Op::Hold),
+        (0usize..64).prop_map(Op::Release),
     ]
 }
 
@@ -27,57 +30,55 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn store_matches_in_memory_model(ops in prop::collection::vec(arb_op(), 1..80), frames in 1usize..6) {
-        let dir = std::env::temp_dir().join("earthmover-storage-model");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("model-{}.db", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let file = PageFile::create(&path).unwrap();
-        let pool = BufferPool::new(file, frames);
-        let mut store = RecordStore::create(pool).unwrap();
+    fn store_matches_in_memory_model(
+        ops in prop::collection::vec(arb_op(), 1..80),
+        masses in prop::collection::vec(1u32..100, 1..200),
+        rows_per_block in 1usize..9,
+        frames in 1usize..6,
+    ) {
+        // Row i is (m, 1, 1) / (m + 2) for the i-th drawn mass m.
+        let model: Vec<f64> = masses
+            .iter()
+            .flat_map(|&m| {
+                let total = f64::from(m) + 2.0;
+                [f64::from(m) / total, 1.0 / total, 1.0 / total]
+            })
+            .collect();
+        let vfs = FaultVfs::new();
+        let path = Path::new("model.emdc");
+        let mut writer = ColumnWriter::create_with(&vfs, path, DIMS, rows_per_block).unwrap();
+        writer.append_rows(&model).unwrap();
+        let pool = BlockPool::new(writer.finish().unwrap(), frames);
+        let blocks = pool.meta().num_blocks();
+        prop_assert_eq!(blocks, masses.len().div_ceil(rows_per_block));
 
-        let mut ids: Vec<RecordId> = Vec::new();
-        let mut model: Vec<Option<Vec<u8>>> = Vec::new();
-
+        let block_len = rows_per_block * DIMS;
+        let expect = |b: usize| &model[b * block_len..((b + 1) * block_len).min(model.len())];
+        let mut held: Vec<(usize, BlockLease)> = Vec::new();
+        let mut leases = 0u64;
         for op in ops {
             match op {
-                Op::Append { len, fill } => {
-                    let data = vec![fill; len];
-                    let id = store.append(&data).unwrap();
-                    ids.push(id);
-                    model.push(Some(data));
-                }
-                Op::Delete(i) if !ids.is_empty() => {
-                    let i = i % ids.len();
-                    let expect_live = model[i].is_some();
-                    let result = store.delete(ids[i]);
-                    prop_assert_eq!(result.is_ok(), expect_live);
-                    model[i] = None;
-                }
-                Op::Get(i) if !ids.is_empty() => {
-                    let i = i % ids.len();
-                    match (&model[i], store.get(ids[i])) {
-                        (Some(expect), Ok(got)) => prop_assert_eq!(expect, &got),
-                        (None, Err(_)) => {}
-                        (expect, got) => prop_assert!(
-                            false,
-                            "model {:?} vs store {:?}",
-                            expect.as_ref().map(|v| v.len()),
-                            got.map(|v| v.len())
-                        ),
+                Op::Lease(i) | Op::Hold(i) => {
+                    let b = i % blocks;
+                    let lease = pool.lease(b).unwrap();
+                    leases += 1;
+                    prop_assert_eq!(&*lease, expect(b));
+                    if matches!(op, Op::Hold(_)) {
+                        held.push((b, lease));
                     }
                 }
-                _ => {}
+                Op::Release(i) if !held.is_empty() => {
+                    held.remove(i % held.len());
+                }
+                Op::Release(_) => {}
+            }
+            prop_assert!(pool.resident_blocks() <= frames);
+            // Pinned leases never change under eviction.
+            for (b, lease) in &held {
+                prop_assert_eq!(&**lease, expect(*b));
             }
         }
-
-        // Full scan equals the live model in append order.
-        let scanned = store.scan().unwrap();
-        let live: Vec<&Vec<u8>> = model.iter().flatten().collect();
-        prop_assert_eq!(scanned.len(), live.len());
-        for ((_, got), expect) in scanned.iter().zip(live) {
-            prop_assert_eq!(got, expect);
-        }
-        std::fs::remove_file(&path).unwrap();
+        let s = pool.stats();
+        prop_assert_eq!(s.hits + s.misses + s.bypasses, leases);
     }
 }

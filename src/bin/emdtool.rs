@@ -509,8 +509,8 @@ fn print_outcome(outcome: serve_api::Outcome) {
             );
             if let Some(info) = &stats.retrieval {
                 println!(
-                    "retrieval: {} tier, guaranteed recall {:.3}",
-                    info.mode, info.recall
+                    "retrieval: {} tier, guaranteed distance ratio {:.3}",
+                    info.mode, info.approx_ratio
                 );
             }
         }
